@@ -400,9 +400,11 @@ def e8_to_a3() -> None:
         client.boot()
         fleet.append(client)
     HackerDefender().install(fleet[1])
-    sweep = RisServer().sweep(fleet)
-    emit(f"- RIS sweep: {len(sweep.reports)} clients network-booted, "
-         f"infected = {sweep.infected_machines}\n")
+    server = RisServer()
+    infected = [client.name for client in fleet
+                if not server.network_boot_scan(client).is_clean]
+    emit(f"- RIS sweep: {len(fleet)} clients network-booted, "
+         f"infected = {infected}\n")
 
 
 def main() -> None:

@@ -4,9 +4,9 @@ Commands
 --------
 demo          infect a machine with Hacker Defender, detect, disinfect
 matrix        print the Figure-2/5 technique × detection matrix
-sweep         RIS network-boot sweep over a small fleet; with
-              ``--epochs``/``--continuous`` it becomes a checkpointed
-              fleet-service run with optional ``--escalate`` confirmation
+sweep         checkpointed fleet-service epochs over a small demo fleet
+              (``--epochs``/``--continuous``), with optional
+              ``--escalate`` confirmation and ``--agents`` processes
 unix          the Section-5 Unix rootkit experiments
 fleet-status  inspect a ``--fleet-dir``: queue depth, leases, last epoch
               (answered from the console index; ``--json`` also reports
@@ -144,9 +144,19 @@ def cmd_matrix(options) -> int:
     return 0
 
 
+def _run_epochs(coordinator, epochs: int, continuous: bool):
+    """In-process epochs; ``continuous`` stops once nothing was scanned."""
+    for __ in range(epochs):
+        aggregate = coordinator.run_epoch()
+        yield aggregate
+        if continuous and aggregate.summary.scanned == 0:
+            # Steady state: the whole fleet rode its baselines.
+            break
+
+
 def _fleet_sweep(options) -> int:
-    """The ``--epochs``/``--continuous`` path: a checkpointed fleet
-    service run instead of a one-shot RIS sweep."""
+    """``repro sweep``: a checkpointed fleet-service run, in-process or
+    with ``--agents`` forked scan agents."""
     from repro.fleet import EscalationPolicy, FleetCoordinator
     from repro.ghostware import Aphex, HackerDefender
     from repro.workloads.scenarios import build_fleet, build_home_pc
@@ -161,7 +171,6 @@ def _fleet_sweep(options) -> int:
                               fault_plan=plan)
     epochs = max(1, options.epochs or (10 if options.continuous else 1))
     compromised = {1: HackerDefender, size - 1: Aphex}
-    summaries = []
 
     if agents:
         # Distributed mode: the roster travels by name; each forked
@@ -182,32 +191,16 @@ def _fleet_sweep(options) -> int:
             epochs, machine_factory, agents=agents,
             fault_seed=options.chaos_seed,
             fault_rate=options.chaos_rate)
-        for aggregate in aggregates:
-            summary = aggregate.summary
-            summaries.append(summary.to_dict())
-            if not options.json:
-                log.info("epoch %d: %d machines (%d scanned, %d skipped)"
-                         " infected=%d escalated=%d confirmed=%d "
-                         "outbreaks=%d",
-                         summary.epoch, summary.machines, summary.scanned,
-                         summary.skipped, summary.infected,
-                         summary.escalated, summary.confirmed,
-                         summary.outbreaks)
-        if options.json:
-            _emit_json({"fleet_dir": fleet_dir, "agents": agents,
-                        "epochs": summaries})
-        else:
-            log.info("fleet state in %s (%d agent processes)",
-                     fleet_dir, agents)
-        return 0
+    else:
+        scenarios = build_fleet(size=size, compromised=compromised)
+        coordinator = FleetCoordinator(fleet_dir,
+                                       [s.machine for s in scenarios],
+                                       workers=2, policy=policy,
+                                       fault_plan=plan, compact_every=4)
+        aggregates = _run_epochs(coordinator, epochs, options.continuous)
 
-    scenarios = build_fleet(size=size, compromised=compromised)
-    coordinator = FleetCoordinator(fleet_dir,
-                                   [s.machine for s in scenarios],
-                                   workers=2, policy=policy,
-                                   fault_plan=plan, compact_every=4)
-    for __ in range(epochs):
-        aggregate = coordinator.run_epoch()
+    summaries = []
+    for aggregate in aggregates:
         summary = aggregate.summary
         summaries.append(summary.to_dict())
         if not options.json:
@@ -216,73 +209,15 @@ def _fleet_sweep(options) -> int:
                      summary.epoch, summary.machines, summary.scanned,
                      summary.skipped, summary.infected, summary.escalated,
                      summary.confirmed, summary.outbreaks)
-        if options.continuous and summary.scanned == 0:
-            # Steady state: the whole fleet rode its baselines.
-            break
     if options.json:
-        _emit_json({"fleet_dir": fleet_dir, "epochs": summaries})
+        payload = {"fleet_dir": fleet_dir, "epochs": summaries}
+        if agents:
+            payload["agents"] = agents
+        _emit_json(payload)
+    elif agents:
+        log.info("fleet state in %s (%d agent processes)", fleet_dir, agents)
     else:
         log.info("fleet state in %s", fleet_dir)
-    return 0
-
-
-def cmd_sweep(options) -> int:
-    from repro.core import RisServer
-    from repro.ghostware import Aphex
-    from repro.machine import Machine
-
-    if options.epochs or options.continuous or options.fleet_dir:
-        return _fleet_sweep(options)
-
-    log = logging.getLogger(LOGGER_NAME)
-    machines = []
-    for index in range(4):
-        machine = Machine(f"client-{index}", disk_mb=256, max_records=8192)
-        machine.boot()
-        machines.append(machine)
-    Aphex().install(machines[2])
-    store = None
-    if options.baseline_dir or options.delta:
-        from repro.core.baseline import BaselineStore
-        directory = options.baseline_dir or tempfile.mkdtemp(
-            prefix="gb-baselines-")
-        store = BaselineStore(directory)
-    server = RisServer(fault_plan=_chaos_plan(options),
-                       max_retries=options.max_retries)
-    if options.delta:
-        # Two sweeps in one sitting: a full pass seeds the baselines,
-        # then one client changes, and the delta pass skips the rest.
-        server.sweep(machines, mode="full", baseline_store=store)
-        machines[1].volume.create_file("\\Temp\\dropped.txt", b"payload")
-        log.info("seeded baselines in %s; client-1 changed on disk\n",
-                 store.directory)
-    result = server.sweep(machines, collect_telemetry=options.trace,
-                          mode="delta" if options.delta else "full",
-                          baseline_store=store)
-    if options.json:
-        payload = {
-            "machines": {name: {"findings": len(report.findings),
-                                "clean": report.is_clean}
-                         for name, report in result.reports.items()},
-            "errors": result.errors,
-            "quarantined": result.quarantined,
-            "retries": result.retry_counts,
-            "infected": result.infected_machines,
-            "wall_seconds": result.wall_seconds,
-            "mode": result.mode,
-        }
-        if result.mode == "delta":
-            payload["delta"] = {"skipped": result.delta_skipped,
-                                "baseline_ids": result.baseline_ids,
-                                "stats": result.delta_stats}
-        if result.health is not None:
-            payload["health"] = [health.to_dict()
-                                 for health in result.health.machines]
-        _emit_json(payload)
-        return 0
-    log.info(result.summary())
-    if result.health is not None:
-        log.info(result.health.summary())
     return 0
 
 
@@ -389,7 +324,7 @@ def cmd_serve(options) -> int:
 
 
 COMMANDS = {"demo": cmd_demo, "matrix": cmd_matrix, "serve": cmd_serve,
-            "sweep": cmd_sweep, "unix": cmd_unix,
+            "sweep": _fleet_sweep, "unix": cmd_unix,
             "fleet-status": cmd_fleet_status}
 
 
@@ -403,7 +338,7 @@ def main(argv=None) -> int:
                         help="emit machine-readable JSON instead of text")
     parser.add_argument("--trace", action="store_true",
                         help="enable scan tracing + interception audit "
-                             "(demo and sweep)")
+                             "(demo)")
     parser.add_argument("--verbose", action="store_true",
                         help="debug-level logging")
     parser.add_argument("--chaos-seed", type=int, default=None,
@@ -416,22 +351,15 @@ def main(argv=None) -> int:
                              "(default 0.05)")
     parser.add_argument("--max-retries", type=int, default=2,
                         metavar="N",
-                        help="per-layer / per-client retry budget "
+                        help="per-layer retry budget for demo "
                              "(default 2)")
     parser.add_argument("--stabilize-rounds", type=int, default=1,
                         metavar="N",
                         help="scan-until-stable rounds for demo "
                              "(default 1 = single scan)")
-    parser.add_argument("--baseline-dir", default=None, metavar="DIR",
-                        help="persist per-machine scan baselines in DIR "
-                             "(sweep; seeds later --delta sweeps)")
-    parser.add_argument("--delta", action="store_true",
-                        help="demo a delta sweep: seed baselines with a "
-                             "full pass, change one client, then re-sweep "
-                             "skipping the unchanged ones")
     parser.add_argument("--epochs", type=int, default=0, metavar="N",
-                        help="run N checkpointed fleet epochs instead of "
-                             "a one-shot sweep (sweep)")
+                        help="run N checkpointed fleet epochs "
+                             "(sweep; default 1)")
     parser.add_argument("--continuous", action="store_true",
                         help="keep running epochs (resuming any "
                              "interrupted one) until the fleet reaches "
@@ -439,8 +367,8 @@ def main(argv=None) -> int:
     parser.add_argument("--escalate", choices=("winpe", "vmscan"),
                         default=None,
                         help="confirm inside findings with an "
-                             "outside-the-box pass of this kind (sweep "
-                             "--epochs)")
+                             "outside-the-box pass of this kind "
+                             "(sweep)")
     parser.add_argument("--fleet-dir", default=None, metavar="DIR",
                         help="durable fleet state directory (queue WAL, "
                              "epochs journal, baselines); also the "
@@ -448,11 +376,10 @@ def main(argv=None) -> int:
     parser.add_argument("--agents", type=int, default=0, metavar="N",
                         help="run the fleet sweep distributed: a scan "
                              "controller in this process plus N forked "
-                             "scan-agent processes (sweep with "
-                             "--epochs/--continuous)")
+                             "scan-agent processes (sweep)")
     parser.add_argument("--fleet-size", type=int, default=6, metavar="N",
                         help="machines in the demo fleet for sweep "
-                             "--epochs (default 6)")
+                             "(default 6)")
     parser.add_argument("--host", default="127.0.0.1", metavar="ADDR",
                         help="console bind address for serve "
                              "(default 127.0.0.1)")

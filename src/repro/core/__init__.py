@@ -30,7 +30,7 @@ from repro.core.injection_ext import injected_scan, injected_process_names
 from repro.core.vmscan import vm_outside_scan, automated_winpe_vm_scan
 from repro.core.anomaly import MassHidingAlert, check_mass_hiding
 from repro.core.ads import AdsEntry, executable_streams, scan_alternate_streams
-from repro.core.risboot import RisServer, RisSweepResult
+from repro.core.risboot import RisServer
 from repro.core.baseline import BaselineStore, MachineBaseline
 from repro.core.gatekeeper import AsepChange, GatekeeperMonitor, HookChange
 from repro.core.reporting import (report_to_dict, report_to_json,
@@ -49,7 +49,7 @@ __all__ = [
     "vm_outside_scan", "automated_winpe_vm_scan",
     "MassHidingAlert", "check_mass_hiding",
     "AdsEntry", "scan_alternate_streams", "executable_streams",
-    "RisServer", "RisSweepResult",
+    "RisServer",
     "BaselineStore", "MachineBaseline",
     "GatekeeperMonitor", "AsepChange", "HookChange",
     "report_to_dict", "report_to_json", "report_from_dict",

@@ -5,161 +5,45 @@ boot through the Remote Installation Service (RIS): upon a reboot, a
 client machine contacts the RIS server to obtain a network boot loader,
 which then performs the outside-the-box scan and diff."
 
-:class:`RisServer` models the server side: it sweeps whole fleets
-through the outside-the-box workflow with no CDs and no user at the
-console — the deployment story that makes clean-boot scanning viable at
-corporate scale.
-
-Fleet sweeps can run clients in parallel (``sweep(..., max_workers=N)``)
-on a thread pool.  Thread-safety contract:
-
-* each machine is scanned by exactly one worker, so all per-machine
-  state (kernel, volume, registry, cost-model charges) is confined;
-* the shared :class:`~repro.core.noise.NoiseFilter` is immutable after
-  construction (a tuple of patterns) and safe to share;
-* :class:`~repro.clock.SimClock` takes a lock in ``advance`` so machines
-  that share one clock never lose charges;
-* the hive-parse memo (:mod:`repro.registry.hive_parser`) is guarded by
-  its own lock.
-
-One failing client records an error entry instead of killing the sweep,
-and report ordering is deterministic (input order) regardless of worker
-count or completion order.
+:class:`RisServer` models the server side of one client's network boot:
+PXE exchange, clean scan environment, outside-the-box diff, reboot — no
+CDs and no user at the console, the deployment story that makes
+clean-boot scanning viable at corporate scale.  Sweeping a whole fleet
+(delta skips, dispatch order, quarantine, baselines) is the job of
+:class:`repro.fleet.FleetCoordinator`.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Optional
 
-from repro.core.baseline import BaselineStore
 from repro.core.diff import DetectionReport
 from repro.core.ghostbuster import GhostBuster
 from repro.core.noise import NoiseFilter
 from repro.core.scanners import files as file_scans
 from repro.core.scanners import registry as registry_scans
 from repro.core.winpe import WinPEEnvironment
-from repro.errors import CircuitOpen, MachineUnavailable
+from repro.errors import MachineUnavailable
 from repro.faults import context as faults_context
 from repro.faults.plan import SITE_RIS_TRANSPORT, FaultPlan
-from repro.faults.retry import CircuitBreaker
 from repro.machine import Machine
 from repro.telemetry import Telemetry
-from repro.telemetry.health import FleetHealth, MachineHealth
-from repro.telemetry.metrics import MetricsRegistry, global_metrics
 
 NETWORK_BOOT_SECONDS = 75.0   # PXE + loader download: faster than a CD
-
-# Error kinds worth a sweep-level re-dispatch (fresh boot, fresh scan).
-# Anything else — MachineStateError, a parser bug — is a genuine failure
-# a reboot won't fix, and fails fast exactly as before.
-_RETRYABLE_KINDS = frozenset({"TransientIoError", "RetryExhausted",
-                              "MachineUnavailable"})
-
-# Incremental-scan counters whose sweep-level deltas become the delta
-# sweep's provenance: how much work the journal/bin repair actually saved.
-_DELTA_COUNTERS = ("journal.records_patched", "journal.patch_fallback",
-                   "journal.overflow", "hive.delta.bins_reparsed",
-                   "hive.delta.bins_reused", "hive.delta.fallback")
-
-
-@dataclass
-class RisSweepResult:
-    """Outcome of one fleet sweep.
-
-    Beyond the per-machine reports, the result carries aggregate stats:
-    ``wall_seconds`` (host time the sweep took), ``simulated_seconds``
-    (total simulated scan time across clients — what a serial sweep
-    costs the fleet's clocks), ``worker_count``, and ``errors`` mapping
-    failed clients to their exception text.  ``quarantined`` maps a
-    failed client to its error *kind* (the exception class — the
-    taxonomy bucket the operator triages by), and ``retry_counts``
-    records how many re-dispatches each flaky-but-recovered client
-    needed.
-
-    Delta sweeps add provenance: ``mode`` (``"full"`` or ``"delta"``),
-    ``delta_skipped`` (machines served from their stored baseline
-    without a re-scan), ``baseline_ids`` (machine → the baseline the
-    verdict came from or was stored under), and ``delta_stats`` (the
-    sweep's deltas of the incremental-scan counters — MFT records
-    patched, hive bins reparsed vs reused, fallbacks to full reparse).
-    """
-
-    reports: Dict[str, DetectionReport] = field(default_factory=dict)
-    errors: Dict[str, str] = field(default_factory=dict)
-    quarantined: Dict[str, str] = field(default_factory=dict)
-    retry_counts: Dict[str, int] = field(default_factory=dict)
-    wall_seconds: float = 0.0
-    simulated_seconds: float = 0.0
-    worker_count: int = 1
-    health: Optional[FleetHealth] = None
-    mode: str = "full"
-    delta_skipped: List[str] = field(default_factory=list)
-    baseline_ids: Dict[str, str] = field(default_factory=dict)
-    delta_stats: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def infected_machines(self) -> List[str]:
-        return sorted(name for name, report in self.reports.items()
-                      if not report.is_clean)
-
-    def summary(self) -> str:
-        lines = [f"RIS sweep: {len(self.reports)} machines, "
-                 f"{len(self.infected_machines)} infected"]
-        for name in self.infected_machines:
-            report = self.reports[name]
-            lines.append(f"  {name}: {len(report.findings)} findings")
-        for name in sorted(self.errors):
-            lines.append(f"  {name}: ERROR — {self.errors[name]}")
-        for name in sorted(self.quarantined):
-            lines.append(f"  {name}: QUARANTINED — "
-                         f"{self.quarantined[name]}")
-        if self.mode == "delta":
-            patched = int(self.delta_stats.get("journal.records_patched", 0))
-            reparsed = int(self.delta_stats.get("hive.delta.bins_reparsed",
-                                                0))
-            lines.append(f"  delta: {len(self.delta_skipped)} skipped via "
-                         f"baseline, {patched} MFT record(s) patched, "
-                         f"{reparsed} hive bin(s) reparsed")
-        if self.wall_seconds:
-            lines.append(
-                f"  ({self.worker_count} worker(s), "
-                f"{self.wall_seconds:.2f}s wall, "
-                f"{self.simulated_seconds:.0f}s simulated)")
-        return "\n".join(lines)
 
 
 class RisServer:
     """The Remote Installation Service scan orchestrator.
 
-    ``client_wait_seconds`` models the real time the *server* spends
-    waiting on one client (PXE/TFTP transfer, the client's own disk
-    I/O); the simulated machines complete their scans in-process, so
-    without it a sweep is pure local compute.  It defaults to zero; the
-    enterprise-scale benchmarks set it to show the latency-dominated
-    regime where parallel sweeps pay off.
-
     ``fault_plan`` (a :class:`~repro.faults.plan.FaultPlan`) makes the
-    sweep run under chaos: each client's scan executes inside a fault
-    scope keyed by machine name, with ``ris.transport`` draws around the
-    PXE exchange.  ``max_retries`` re-dispatches a failed client that
-    many times (rebooting it first if its last failure left it powered
-    off); ``breaker_threshold`` consecutive failures on one machine trip
-    a per-machine circuit breaker that quarantines it for the rest of
-    the sweep instead of wasting further boots on it.
+    network boot run under chaos: the client's scan executes inside a
+    fault scope keyed by machine name, with ``ris.transport`` draws
+    around the PXE exchange.
     """
 
     def __init__(self, noise_filter: Optional[NoiseFilter] = None,
-                 client_wait_seconds: float = 0.0,
-                 max_retries: int = 2,
-                 breaker_threshold: int = 3,
                  fault_plan: Optional[FaultPlan] = None):
         self.noise_filter = noise_filter or NoiseFilter()
-        self.client_wait_seconds = client_wait_seconds
-        self.max_retries = max(0, max_retries)
-        self.breaker_threshold = max(1, breaker_threshold)
         self.fault_plan = fault_plan
 
     def network_boot_scan(self, machine: Machine,
@@ -198,9 +82,9 @@ class RisServer:
         """One RIS transport exchange; a fatal fault powers the client off.
 
         A ``machine_death`` draw means the client dropped off the network
-        mid-scan: we mark it powered down (so a sweep-level retry has to
-        boot it again) and let :class:`~repro.errors.MachineUnavailable`
-        propagate to the sweep's retry/quarantine logic.
+        mid-scan: we mark it powered down (so whoever retries has to boot
+        it again) and let :class:`~repro.errors.MachineUnavailable`
+        propagate to the caller.
         """
         try:
             faults_context.maybe_inject(SITE_RIS_TRANSPORT,
@@ -237,8 +121,6 @@ class RisServer:
                                                   0.8)
         machine.clock.advance(boot_seconds)
         report.durations["network-boot"] = boot_seconds
-        if self.client_wait_seconds > 0:
-            time.sleep(self.client_wait_seconds)
 
         environment = WinPEEnvironment(machine)
         environment.booted = True   # RIS delivered the clean environment
@@ -254,226 +136,3 @@ class RisServer:
         if reboot_after:
             machine.boot()
         return report
-
-    def sweep(self, machines: Iterable[Machine],
-              resources=("files", "registry"),
-              max_workers: int = 1,
-              collect_telemetry: bool = False,
-              mode: str = "full",
-              baseline_store: Optional[BaselineStore] = None
-              ) -> RisSweepResult:
-        """Scan a whole fleet, one network boot per client.
-
-        With ``max_workers > 1`` the clients are scanned concurrently on
-        a thread pool.  Reports keep the input order, a client that
-        raises is recorded under ``result.errors`` (with an empty error
-        report in ``result.reports``) without aborting the rest, and the
-        findings are identical to a serial sweep's.
-
-        ``collect_telemetry=True`` gives every client its own tracer and
-        audit log (thread-confined, so parallel workers never mix spans)
-        and populates ``result.health`` with per-machine span trees,
-        wall-clock attribution, interposed-API lists, and an error
-        taxonomy — the fleet health report ``scripts/scan_report.py``
-        renders.
-
-        A client that raises is retried up to ``max_retries`` times
-        (``ris.retries`` metric; the machine is rebooted first if its
-        failure left it powered down).  A client whose consecutive
-        failures trip the per-machine circuit breaker — or that is still
-        failing after the last retry — lands in ``result.errors`` *and*
-        ``result.quarantined`` (keyed by error kind) with an empty error
-        report, without aborting the rest of the fleet.
-
-        ``mode="delta"`` (requires a ``baseline_store``) is the periodic
-        re-sweep path: a machine whose disk generation still matches its
-        stored baseline is *skipped* — its verdict is rehydrated from
-        the store (``mode="ris-delta-skip"``, ``ris.delta.skipped``
-        metric) — and the rest are re-scanned (incrementally, via the
-        change-journal cache repair) with dispatch ordered
-        longest-scan-first from the store's historical timings, so the
-        slowest machines never tail the parallel sweep.  Any sweep given
-        a ``baseline_store`` records fresh baselines for the machines it
-        actually scanned, so a ``mode="full"`` sweep seeds the store the
-        first delta sweep draws on.
-        """
-        if mode not in ("full", "delta"):
-            raise ValueError(f"unknown sweep mode {mode!r}")
-        if mode == "delta" and baseline_store is None:
-            raise ValueError("a delta sweep needs a baseline_store")
-        fleet = list(machines)
-        workers = max(1, min(max_workers, len(fleet) or 1))
-        result = RisSweepResult(worker_count=workers, mode=mode)
-        started = time.perf_counter()
-        breaker = CircuitBreaker(failure_threshold=self.breaker_threshold)
-        registry = global_metrics()
-        counters_before = {name: registry.counter(name)
-                           for name in _DELTA_COUNTERS}
-
-        def scan_one(machine: Machine):
-            if not collect_telemetry:
-                report = self.network_boot_scan(machine,
-                                                resources=resources)
-                return report, None
-            telemetry = Telemetry.enabled(clock=machine.clock)
-            machine_started = time.perf_counter()
-            report = self.network_boot_scan(machine, resources=resources,
-                                            telemetry=telemetry)
-            machine_wall = time.perf_counter() - machine_started
-            return report, (telemetry, machine_wall)
-
-        def dispatch(machine: Machine):
-            """Retry loop: (outcome, error, retries, wall seconds)."""
-            dispatch_started = time.perf_counter()
-            outcome, error, retries = attempt_loop(machine)
-            return (outcome, error, retries,
-                    time.perf_counter() - dispatch_started)
-
-        def attempt_loop(machine: Machine):
-            error = None
-            for attempt in range(self.max_retries + 1):
-                try:
-                    breaker.allow(machine.name)
-                except CircuitOpen as exc:
-                    return None, f"{type(exc).__name__}: {exc}", attempt
-                if attempt:
-                    global_metrics().incr("ris.retries")
-                    if not machine.powered_on:
-                        machine.boot()
-                outcome, error = self._guarded(scan_one, machine)
-                if error is None:
-                    breaker.record_success(machine.name)
-                    return outcome, None, attempt
-                breaker.record_failure(machine.name)
-                kind = error.split(":", 1)[0].strip()
-                if kind not in _RETRYABLE_KINDS:
-                    return None, error, attempt
-            return None, error, self.max_retries
-
-        # Delta pre-pass: serve unchanged machines from their baseline.
-        skipped: Dict[str, object] = {}
-        to_scan = fleet
-        if mode == "delta":
-            to_scan = []
-            for machine in fleet:
-                baseline = baseline_store.get(machine.name)
-                if (baseline is not None
-                        and machine.disk.generation
-                        == baseline.disk_generation):
-                    registry.incr("ris.delta.skipped")
-                    skipped[machine.name] = baseline
-                else:
-                    registry.incr("ris.delta.rescanned")
-                    to_scan.append(machine)
-
-        # Longest-scan-first dispatch (classic LPT list scheduling):
-        # historically slow machines go out first so they never tail the
-        # sweep; machines without a timing are unknown-cost and go
-        # first of all.  Ties keep input order (sorted is stable), so
-        # the schedule is deterministic.
-        dispatch_order = to_scan
-        if baseline_store is not None and len(to_scan) > 1:
-            def cost(machine: Machine) -> float:
-                seconds = baseline_store.scan_seconds(machine.name)
-                return float("inf") if seconds is None else seconds
-            dispatch_order = sorted(to_scan, key=cost, reverse=True)
-
-        if workers == 1:
-            outcomes = {machine.name: dispatch(machine)
-                        for machine in dispatch_order}
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {machine.name: pool.submit(dispatch, machine)
-                           for machine in dispatch_order}
-                outcomes = {name: future.result()
-                            for name, future in futures.items()}
-
-        health = FleetHealth(worker_count=workers) \
-            if collect_telemetry else None
-        for machine in fleet:
-            baseline = skipped.get(machine.name)
-            if baseline is not None:
-                report = baseline.rehydrate(mode="ris-delta-skip")
-                result.reports[machine.name] = report
-                result.delta_skipped.append(machine.name)
-                result.baseline_ids[machine.name] = baseline.baseline_id
-                if health is not None:
-                    health.add(MachineHealth(
-                        machine=machine.name,
-                        findings=len(report.findings),
-                        noise=len(report.noise())))
-                continue
-            outcome, error, retries, wall = outcomes[machine.name]
-            report, extra = outcome if outcome else (None, None)
-            if retries:
-                result.retry_counts[machine.name] = retries
-            if error is not None:
-                result.errors[machine.name] = error
-                result.quarantined[machine.name] = \
-                    error.split(":", 1)[0].strip() or "Error"
-                report = DetectionReport(machine.name, mode="ris-error")
-            elif baseline_store is not None:
-                stored = baseline_store.put(machine.name, report,
-                                            machine.disk.generation,
-                                            scan_seconds=wall)
-                result.baseline_ids[machine.name] = stored.baseline_id
-            result.reports[machine.name] = report
-            if health is not None:
-                health.add(self._machine_health(machine.name, report,
-                                                error, extra,
-                                                retries=retries))
-        result.wall_seconds = time.perf_counter() - started
-        result.simulated_seconds = sum(
-            report.total_duration() for report in result.reports.values())
-        result.delta_stats = {
-            name: registry.counter(name) - counters_before[name]
-            for name in _DELTA_COUNTERS}
-        if health is not None:
-            health.wall_seconds = result.wall_seconds
-            health.metrics_snapshot = global_metrics().snapshot()
-            if mode == "delta":
-                health.delta = {
-                    "mode": mode,
-                    "skipped": list(result.delta_skipped),
-                    "baseline_ids": dict(result.baseline_ids),
-                    "stats": dict(result.delta_stats),
-                }
-            result.health = health
-        return result
-
-    @staticmethod
-    def _machine_health(name: str, report: DetectionReport,
-                        error: Optional[str], extra,
-                        retries: int = 0) -> MachineHealth:
-        telemetry, machine_wall = extra if extra else (None, 0.0)
-        spans = []
-        span_tree = ""
-        audit_events = []
-        interposed = []
-        simulated = report.total_duration() if report else 0.0
-        if telemetry is not None:
-            spans = [span.to_dict() for span in telemetry.tracer.spans()]
-            span_tree = telemetry.tracer.render()
-            if telemetry.audit is not None:
-                audit_events = telemetry.audit.to_dicts()
-                interposed = telemetry.audit.interposed_apis()
-            global_metrics().observe("ris.sweep.machine_seconds",
-                                     machine_wall)
-        findings = len(report.findings) if report else 0
-        noise = sum(1 for f in report.findings if f.is_noise) \
-            if report else 0
-        return MachineHealth(machine=name, wall_seconds=machine_wall,
-                             simulated_seconds=simulated,
-                             findings=findings, noise=noise,
-                             error=error, retries=retries, spans=spans,
-                             span_tree=span_tree,
-                             audit_events=audit_events,
-                             interposed_apis=interposed)
-
-    @staticmethod
-    def _guarded(scan, machine):
-        """Per-machine fault isolation: (outcome, None) or (None, error)."""
-        try:
-            return scan(machine), None
-        except Exception as exc:   # noqa: BLE001 — isolate any client fault
-            return None, f"{type(exc).__name__}: {exc}"

@@ -8,8 +8,8 @@ machine name as the draw scope and the machine's clock for delay
 charging — and the sites look it up here via :func:`maybe_inject`.
 
 Two activation levels exist: a per-thread scope (set by
-:func:`scoped`, used by ``GhostBuster``/``RisServer`` so parallel sweep
-workers draw from independent per-machine streams) and a process-wide
+:func:`scoped`, used by ``GhostBuster``/``RisServer`` so each machine's
+scan draws from its own per-machine stream) and a process-wide
 plan (set by :func:`install_global_plan`, used by the CI chaos job via
 ``REPRO_CHAOS_SEED``).  The thread scope wins.  With neither active the
 fast path is one ``getattr`` plus one global check.

@@ -19,7 +19,9 @@ Failure-first design decisions, in order of importance:
   the current lease holder's scan is the one that lands.
 * **Checkpoint custody.**  The write order ``BaselineStore.put`` →
   ``fleet-machine`` journal record → ``WorkQueue.ack`` is enforced
-  here, in one process, under one lock — agents never write.
+  here, in one process, under one lock — agents never write.  Steps 2
+  and 3 are the coordinator's own ``_checkpoint``, the same function
+  the in-process drain loop calls.
 * **Heartbeat liveness.**  Every frame an agent sends (work channel or
   its dedicated heartbeat channel) refreshes its session's
   ``last_seen`` on the liveness clock (wall-monotonic by default,
@@ -392,12 +394,12 @@ class ScanController:
                 # error verdict (mirroring the single-process worker)
                 # and keeps drawing for the agent.
                 metrics.incr("fleet.quarantined")
-                self._checkpoint(
-                    session, lease,
+                self.coordinator._checkpoint(
+                    lease,
                     MachineVerdict(machine=lease.machine,
                                    epoch=lease.epoch, verdict="error",
                                    error=str(exc)),
-                    self_ack=True)
+                    self._aggregator)
                 continue
             session.leases[lease.machine] = lease
             return dict(self._lease_reply(lease), op="lease-ok")
@@ -474,31 +476,12 @@ class ScanController:
         elif verdict.scanned:
             self.coordinator.breaker.record_success(machine)
         try:
-            self._checkpoint(session, current, verdict)
+            self.coordinator._checkpoint(current, verdict, self._aggregator)
         except StaleLease:
             return self._late_ack(session, machine)
+        session.acks += 1
         session.leases.pop(machine, None)
         return {"op": "ack-ok", "duplicate": False}
-
-    def _checkpoint(self, session: AgentSession, lease: Lease,
-                    verdict: MachineVerdict, self_ack: bool = False
-                    ) -> None:
-        """Steps 2 and 3: journal the verdict, then ack the queue."""
-        coordinator = self.coordinator
-        coordinator._journal(verdict.to_dict())
-        coordinator.queue.ack(lease, verdict=verdict.verdict,
-                              scanned=verdict.scanned,
-                              confirmed=verdict.confirmed)
-        if not self_ack:
-            session.acks += 1
-        global_metrics().incr("fleet.epoch.checkpoints")
-        if self._aggregator is not None:
-            for alert in self._aggregator.observe(verdict):
-                coordinator._journal(alert.to_dict())
-                logger.warning("%s", alert.describe())
-        for alert in coordinator.campaigns.observe(verdict):
-            coordinator._journal(alert.to_dict())
-            logger.warning("%s", alert.describe())
 
     def _late_ack(self, session: AgentSession, machine: str) -> Dict:
         global_metrics().incr("fleet.ack.late")

@@ -6,9 +6,11 @@ cheaply, forever.  One *epoch* = every machine in the roster produces a
 verdict exactly once.  The coordinator:
 
 1. plans the epoch (:class:`~repro.fleet.scheduler.FleetScheduler` —
-   staleness + risk + LPT), deals the roster into shards, and opens it
-   on the durable :class:`~repro.fleet.queue.WorkQueue`;
-2. drives logical workers through lease → scan → checkpoint → ack;
+   staleness + risk + LPT), deals the roster into ``workers`` queue
+   shards, and opens it on the durable :class:`~repro.fleet.queue.WorkQueue`;
+2. drives every machine through lease → scan → checkpoint → ack, one
+   machine at a time in-process (round-robin over the shards), or one
+   shard per forked agent in :meth:`FleetCoordinator.run_distributed`;
 3. escalates finding-bearing machines through the
    :class:`~repro.fleet.policy.EscalationPolicy` (inside findings buy
    an outside-the-box confirmation with ``confirmed_by`` provenance);
@@ -61,10 +63,10 @@ from repro.fleet.aggregator import (DEFAULT_OUTBREAK_THRESHOLD,
                                     MachineVerdict)
 from repro.fleet.controller import ScanController, fold_agent_records
 from repro.fleet.policy import EscalationPolicy
-from repro.fleet.queue import WorkQueue
+from repro.fleet.queue import Lease, WorkQueue
 from repro.fleet.scanwork import (perform_machine_scan,
                                   perform_sampled_machine_scan, skip_verdict)
-from repro.fleet.scheduler import FleetScheduler, load_history
+from repro.fleet.scheduler import FleetHistory, FleetScheduler, load_history
 from repro.fleet import transport
 from repro.machine import Machine
 from repro.telemetry import context as telemetry_context
@@ -77,7 +79,13 @@ EPOCHS_FILE = "epochs.jsonl"
 
 
 class FleetCoordinator:
-    """Runs checkpointed epochs over a fleet of simulated machines."""
+    """Runs checkpointed epochs over a fleet of simulated machines.
+
+    ``workers`` is the number of queue shards the scheduler deals each
+    epoch into — one per agent in :meth:`run_distributed`.  It buys no
+    parallelism in-process: :meth:`run_epoch` leases round-robin across
+    the shards and scans one machine at a time.
+    """
 
     def __init__(self, fleet_dir: str,
                  machines: Iterable[Union[Machine, str]],
@@ -154,11 +162,17 @@ class FleetCoordinator:
         # per-epoch identity rotation).  Tracker state spans epochs, so
         # a restarted coordinator rebuilds it from the journal: alerts
         # first (duplicate suppression), then every recorded verdict.
+        # The scheduler's history is rebuilt in the same single replay
+        # and then kept current by _journal(), so an epoch open never
+        # re-reads the whole journal.
         self.campaigns = CampaignTracker(threshold=outbreak_threshold)
+        self.history = FleetHistory()
         if os.path.exists(self.epochs_path):
             records = [line.record for line in
                        iter_journal(self.epochs_path,
                                     on_torn=lambda *_: None)]
+            for record in records:
+                self.history.note_record(record)
             for record in records:
                 if record.get("type") == "fleet-campaign":
                     self.campaigns.mark_alerted(record)
@@ -175,6 +189,7 @@ class FleetCoordinator:
     def _journal(self, record: Dict) -> None:
         record = dict(record, at=round(self.clock.now(), 6))
         start, end = append_journal(self.epochs_path, record)
+        self.history.note_record(record)
         if self.index is not None:
             self.index.note_epoch_record(record, start, end)
 
@@ -194,7 +209,7 @@ class FleetCoordinator:
     def next_epoch_number(self) -> int:
         if self.queue.epoch is not None:
             return self.queue.epoch
-        return load_history(self.epochs_path).last_epoch_no + 1
+        return self.history.last_epoch_no + 1
 
     def run_epoch(self, kill_after_acks: Optional[int] = None
                   ) -> FleetAggregator:
@@ -238,7 +253,6 @@ class FleetCoordinator:
             self._sampled_tier = self._journaled_sampled(epoch)
             metrics.incr("fleet.epoch.resumed")
         else:
-            history = load_history(self.epochs_path)
             timings: Dict[str, float] = {}
             for name, machine in self.machines.items():
                 stored = self.store.scan_seconds(name)
@@ -253,7 +267,7 @@ class FleetCoordinator:
                     timings[name] = estimate_scan_seconds(
                         machine, self.resources)
             plan = self.scheduler.plan(
-                sorted(self.machines), epoch, history,
+                sorted(self.machines), epoch, self.history,
                 scan_seconds=timings,
                 quarantined=self._quarantined)
             self.queue.open_epoch(epoch, self.scheduler.assignments(plan))
@@ -298,8 +312,10 @@ class FleetCoordinator:
                 if self.retain_epochs:
                     # Retention rewrites the epochs journal and rebuilds
                     # the whole index (which also re-reads the freshly
-                    # compacted store and WAL).
+                    # compacted store and WAL); the history must follow
+                    # the rewritten journal.
                     self.index.compact(self.retain_epochs)
+                    self.history = load_history(self.epochs_path)
                 else:
                     # The store/WAL rewrites changed those journals'
                     # heads; the next update() notices and rebuilds.
@@ -310,6 +326,30 @@ class FleetCoordinator:
         """``epochs`` back-to-back epochs; the continuous-service loop."""
         return [self.run_epoch(kill_after_acks=kill_after_acks)
                 for __ in range(int(epochs))]
+
+    def _checkpoint(self, lease: Lease, verdict: MachineVerdict,
+                    aggregator: Optional[FleetAggregator]) -> None:
+        """Steps 2 and 3 of the checkpoint, then the streaming alerts.
+
+        Journals the verdict, acks the lease, and feeds the verdict to
+        the epoch's aggregator and the cross-epoch campaign tracker,
+        journaling every alert they raise.  The one place a verdict is
+        checkpointed, for the in-process drain loop and the distributed
+        controller alike.  :class:`StaleLease` from the ack propagates:
+        late-ack bookkeeping belongs to the caller.
+        """
+        self._journal(verdict.to_dict())
+        self.queue.ack(lease, verdict=verdict.verdict,
+                       scanned=verdict.scanned,
+                       confirmed=verdict.confirmed)
+        global_metrics().incr("fleet.epoch.checkpoints")
+        if aggregator is not None:
+            for alert in aggregator.observe(verdict):
+                self._journal(alert.to_dict())
+                logger.warning("%s", alert.describe())
+        for alert in self.campaigns.observe(verdict):
+            self._journal(alert.to_dict())
+            logger.warning("%s", alert.describe())
 
     def _drain_epoch(self, epoch: int, aggregator: FleetAggregator,
                      kill_after_acks: Optional[int]) -> None:
@@ -332,31 +372,20 @@ class FleetCoordinator:
                 if lease is None:
                     continue
                 verdict = self._scan_machine(epoch, lease.machine)
-                self._journal(verdict.to_dict())
                 try:
-                    self.queue.ack(lease, verdict=verdict.verdict,
-                                   scanned=verdict.scanned,
-                                   confirmed=verdict.confirmed)
+                    self._checkpoint(lease, verdict, aggregator)
                 except StaleLease:
                     # The lease timed out under a pathologically slow
                     # scan and someone else will redo the machine; the
                     # journal keeps both records, last one wins.  Each
                     # drop is a whole scan's work wasted, so it is
-                    # counted — in the metrics registry (surfaces via
-                    # the FleetHealth metrics snapshot) and on the
+                    # counted — in the metrics registry and on the
                     # epoch summary the journal and scan_report render.
                     metrics.incr("fleet.ack.late")
                     aggregator.summary.late_acks += 1
                     logger.warning("late ack for %s dropped", lease.machine)
                     progressed = True
                     continue
-                metrics.incr("fleet.epoch.checkpoints")
-                for alert in aggregator.observe(verdict):
-                    self._journal(alert.to_dict())
-                    logger.warning("%s", alert.describe())
-                for alert in self.campaigns.observe(verdict):
-                    self._journal(alert.to_dict())
-                    logger.warning("%s", alert.describe())
                 progressed = True
                 acks += 1
                 if kill_after_acks is not None and acks >= kill_after_acks:

@@ -51,9 +51,9 @@ def stable_shard(machine: str, shards: int) -> int:
 class FleetHistory:
     """What past epochs taught us about each machine.
 
-    Rebuilt by replaying the epochs journal (see
-    :func:`repro.fleet.coordinator.load_history`); the scheduler only
-    reads it.
+    Rebuilt by replaying the epochs journal (see :func:`load_history`);
+    a running coordinator keeps one current by folding each record it
+    journals through :meth:`note_record`.  The scheduler only reads it.
     """
 
     last_epoch: Dict[str, int] = field(default_factory=dict)
@@ -73,6 +73,20 @@ class FleetHistory:
                 self.confirmations.get(machine, 0) + 1
         if errored:
             self.failures[machine] = self.failures.get(machine, 0) + 1
+
+    def note_record(self, record: Dict) -> None:
+        """Fold one epochs-journal record; other record types are ignored."""
+        kind = record.get("type")
+        if kind == "fleet-machine":
+            self.note_verdict(
+                epoch=int(record.get("epoch", 0)),
+                machine=record.get("machine", "?"),
+                infected=record.get("verdict") == "infected",
+                confirmed=bool(record.get("confirmed")),
+                errored=record.get("error") is not None)
+        elif kind == "epoch-end":
+            self.last_epoch_no = max(self.last_epoch_no,
+                                     int(record.get("epoch", 0)))
 
 
 def recent_write_probe(machine, horizon_seconds: float = 3600.0,
@@ -202,15 +216,5 @@ def load_history(path: str) -> FleetHistory:
 
     history = FleetHistory()
     for line in iter_journal(path):
-        record = line.record
-        if record.get("type") == "fleet-machine":
-            history.note_verdict(
-                epoch=int(record.get("epoch", 0)),
-                machine=record.get("machine", "?"),
-                infected=record.get("verdict") == "infected",
-                confirmed=bool(record.get("confirmed")),
-                errored=record.get("error") is not None)
-        elif record.get("type") == "epoch-end":
-            history.last_epoch_no = max(history.last_epoch_no,
-                                        int(record.get("epoch", 0)))
+        history.note_record(line.record)
     return history

@@ -5,9 +5,8 @@ WAL, the baseline store, the telemetry exports — shares the same
 append-only JSONL discipline: one JSON object per line, appended whole,
 where a writer killed mid-write loses at most the final line.  Before
 this module each reader re-implemented the same defensive loop
-(:func:`~repro.telemetry.health.load_jsonl`,
-``BaselineStore._load``, ``WorkQueue._replay``, ``load_history``, …);
-now they all call :func:`iter_journal`.
+(``BaselineStore._load``, ``WorkQueue._replay``, ``load_history``,
+``scripts/scan_report.py``, …); now they all call :func:`iter_journal`.
 
 Two properties matter beyond "skip bad lines":
 

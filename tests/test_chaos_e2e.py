@@ -1,28 +1,29 @@
 """End-to-end chaos acceptance: detection survives injected faults.
 
-The robustness contract in one sweep: five ghostware families plus a
-clean control machine scanned through the RIS network-boot path while a
-5% fault plan fires transient I/O errors, torn reads, corrupt hive
-blobs, spurious ``STATUS_*`` failures, and transport drops — and the
-pipeline must (a) raise nothing to the caller, (b) detect every
-infected machine exactly as a fault-free sweep does, and (c) account
-for anything it *couldn't* recover via quarantine + taxonomy instead of
-silence.
+The robustness contract in one fleet epoch: five ghostware families
+plus a clean control machine scanned by the
+:class:`~repro.fleet.FleetCoordinator` while a 5% fault plan fires
+transient I/O errors, torn reads, corrupt hive blobs, and spurious
+``STATUS_*`` failures — and the pipeline must (a) raise nothing to the
+caller, (b) detect every infected machine exactly as a fault-free epoch
+does, and (c) account for anything it *couldn't* recover via error
+verdicts + the circuit breaker's quarantine instead of silence.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import GhostBuster, RisServer
-from repro.core.baseline import BaselineStore
+from repro.core import GhostBuster
 from repro.core.diff import ScanConfidence
 from repro.errors import ReproError
 from repro.faults.plan import (FaultPlan, FaultSpec, SITE_DISK_READ,
-                               SITE_MFT_PARSE, SITE_RIS_TRANSPORT)
+                               SITE_MFT_PARSE, SITE_WINAPI_ENUM)
+from repro.fleet import FleetCoordinator
 from repro.ghostware import (Aphex, HackerDefender, ProBotSE, Urbin,
                              Vanquish)
 from repro.machine import Machine
+from repro.telemetry.metrics import global_metrics
 
 FAMILIES = (HackerDefender, Aphex, Urbin, Vanquish, ProBotSE)
 
@@ -46,89 +47,108 @@ def _identities(report):
                   for f in report.findings if not f.is_noise)
 
 
+def _recall(aggregate):
+    """Per-machine verdict and finding identities (recall, not escalation)."""
+    return {v.machine: (v.verdict, sorted(v.finding_ids))
+            for v in aggregate.verdicts}
+
+
+def _errors(aggregate):
+    return {v.machine: v.error for v in aggregate.verdicts
+            if v.error is not None}
+
+
+def _death(mode, scope):
+    return FaultPlan(seed=9, specs=(
+        FaultSpec(SITE_WINAPI_ENUM, mode=mode, kinds=("machine_death",),
+                  mean_delay_s=0.0, scopes=(scope,)),))
+
+
 class TestChaosSweep:
-    def test_sweep_under_5pct_faults_matches_fault_free(self):
-        baseline = RisServer().sweep(_fleet(), max_workers=2)
-        assert not baseline.errors
+    def test_sweep_under_5pct_faults_matches_fault_free(self, tmp_path):
+        baseline = FleetCoordinator(str(tmp_path / "ref"),
+                                    _fleet()).run_epoch()
+        assert not _errors(baseline)
 
         plan = FaultPlan.default(seed=2026, rate=0.05)
-        chaotic = RisServer(fault_plan=plan).sweep(_fleet(), max_workers=2)
+        coordinator = FleetCoordinator(str(tmp_path / "chaos"), _fleet(),
+                                       fault_plan=plan)
+        chaotic = coordinator.run_epoch()
 
         # (a) nothing leaked, nothing quarantined at this rate
-        assert not chaotic.errors
-        assert not chaotic.quarantined
+        assert not _errors(chaotic)
+        assert coordinator.breaker.open_scopes() == []
         # (b) recall unchanged: same infected set, same finding identities
-        assert chaotic.infected_machines == baseline.infected_machines
-        assert len(chaotic.infected_machines) == len(FAMILIES)
-        for name in baseline.reports:
-            assert _identities(chaotic.reports[name]) == \
-                _identities(baseline.reports[name])
+        assert chaotic.infected_machines() == baseline.infected_machines()
+        assert len(chaotic.infected_machines()) == len(FAMILIES)
+        assert _recall(chaotic) == _recall(baseline)
         # (c) the chaos was real, and the log proves it
         assert plan.fired_count() > 0
         assert plan.sequence_digest() != FaultPlan.default(
             seed=2026, rate=0.05).sequence_digest()
 
-    def test_machine_death_quarantined_with_taxonomy(self):
-        plan = FaultPlan(seed=9, specs=(
-            FaultSpec(SITE_RIS_TRANSPORT, mode="always",
-                      kinds=("machine_death",), mean_delay_s=0.0,
-                      scopes=("victim-01",)),))
-        result = RisServer(fault_plan=plan, max_retries=1).sweep(
-            _fleet(), max_workers=2)
-
-        assert "victim-01" in result.quarantined
-        assert result.quarantined["victim-01"] == "MachineUnavailable"
-        assert result.reports["victim-01"].mode == "ris-error"
-        assert "QUARANTINED" in result.summary()
-        # The dead machine burned its retry budget...
-        assert result.retry_counts.get("victim-01", 0) >= 1
+    def test_machine_death_quarantined_with_taxonomy(self, tmp_path):
+        coordinator = FleetCoordinator(
+            str(tmp_path), _fleet(), breaker_threshold=1,
+            fault_plan=_death("always", "victim-01"))
+        first = coordinator.run_epoch()
+        # The error verdict carries its taxonomy bucket (the exception
+        # class)...
+        assert _errors(first)["victim-01"].startswith("MachineUnavailable")
         # ...without costing the rest of the fleet anything.
-        assert sorted(result.errors) == ["victim-01"]
-        assert len(result.infected_machines) == len(FAMILIES) - 1
+        assert sorted(_errors(first)) == ["victim-01"]
+        assert len(first.infected_machines()) == len(FAMILIES) - 1
 
-    def test_transient_death_recovers_on_retry(self):
-        plan = FaultPlan(seed=9, specs=(
-            FaultSpec(SITE_RIS_TRANSPORT, mode="one_shot",
-                      kinds=("machine_death",), mean_delay_s=0.0,
-                      scopes=("victim-00",)),))
-        result = RisServer(fault_plan=plan).sweep(_fleet())
+        # The breaker tripped: next epoch the machine is quarantined
+        # instead of burning another boot.
+        quarantined = global_metrics().counter("fleet.quarantined")
+        second = coordinator.run_epoch()
+        assert coordinator.breaker.open_scopes() == ["victim-01"]
+        assert global_metrics().counter("fleet.quarantined") == \
+            quarantined + 1
+        assert sorted(_errors(second)) == ["victim-01"]
+        assert len(second.infected_machines()) == len(FAMILIES) - 1
 
-        # One death, then the re-dispatch (with a fresh boot) succeeds.
-        assert not result.errors
-        assert result.retry_counts.get("victim-00") == 1
-        assert "victim-00" in result.infected_machines
+    def test_transient_death_recovers_on_retry(self, tmp_path):
+        coordinator = FleetCoordinator(
+            str(tmp_path), _fleet(),
+            fault_plan=_death("one_shot", "victim-00"))
+        first = coordinator.run_epoch()
+        assert sorted(_errors(first)) == ["victim-00"]
+
+        # One death, then the next epoch's re-lease (the scheduler
+        # ranks the errored machine first) succeeds.
+        second = coordinator.run_epoch()
+        assert not _errors(second)
+        assert "victim-00" in second.infected_machines()
+        assert second.summary.scanned == 1
 
 
 class TestChaosDeltaInterplay:
     """Faults landing mid-delta-patch must degrade to a full reparse,
     never to a wrong (or missing) verdict."""
 
-    def _seeded_delta(self, tmp_path, label, fault_plan=None,
-                      max_workers=1):
-        """Seed baselines fault-free, mutate two machines, delta-sweep."""
+    def _seeded_delta(self, tmp_path, label, fault_plan=None):
+        """Seed baselines fault-free, mutate two machines, run epoch 2."""
         fleet = _fleet()
-        store = BaselineStore(str(tmp_path / label))
-        RisServer().sweep(fleet, mode="full", baseline_store=store)
+        fleet_dir = str(tmp_path / label)
+        FleetCoordinator(fleet_dir, fleet).run_epoch()
         fleet[0].volume.create_file("\\Temp\\delta-drop.bin", b"payload")
         fleet[3].volume.create_file("\\Temp\\delta-drop.bin", b"payload")
-        server = RisServer(fault_plan=fault_plan)
-        return server.sweep(fleet, mode="delta", baseline_store=store,
-                            max_workers=max_workers)
+        return FleetCoordinator(fleet_dir, fleet,
+                                fault_plan=fault_plan).run_epoch()
 
     def test_delta_sweep_under_5pct_faults_matches_fault_free(
             self, tmp_path):
         reference = self._seeded_delta(tmp_path, "reference")
         plan = FaultPlan.default(seed=2027, rate=0.05)
-        chaotic = self._seeded_delta(tmp_path, "chaotic",
-                                     fault_plan=plan, max_workers=2)
+        chaotic = self._seeded_delta(tmp_path, "chaotic", fault_plan=plan)
 
-        assert not chaotic.errors
-        assert chaotic.infected_machines == reference.infected_machines
-        assert sorted(chaotic.delta_skipped) == \
-            sorted(reference.delta_skipped)
-        for name in reference.reports:
-            assert _identities(chaotic.reports[name]) == \
-                _identities(reference.reports[name])
+        assert not _errors(chaotic)
+        assert chaotic.infected_machines() == reference.infected_machines()
+        assert sorted(v.machine for v in chaotic.verdicts if v.skipped) == \
+            sorted(v.machine for v in reference.verdicts if v.skipped)
+        assert _recall(chaotic) == _recall(reference)
         assert plan.fired_count() > 0
 
     def test_torn_read_mid_patch_degrades_to_full_reparse(self,
@@ -144,10 +164,10 @@ class TestChaosDeltaInterplay:
         chaotic = self._seeded_delta(tmp_path, "torn", fault_plan=plan)
 
         assert plan.fired_count() == 1
-        assert not chaotic.errors
-        assert chaotic.infected_machines == reference.infected_machines
-        assert _identities(chaotic.reports["victim-00"]) == \
-            _identities(reference.reports["victim-00"])
+        assert not _errors(chaotic)
+        assert chaotic.infected_machines() == reference.infected_machines()
+        assert _recall(chaotic)["victim-00"] == \
+            _recall(reference)["victim-00"]
 
     def test_parse_fault_mid_patch_self_heals(self, tmp_path):
         reference = self._seeded_delta(tmp_path, "ref-parse")
@@ -156,10 +176,10 @@ class TestChaosDeltaInterplay:
                       kinds=("transient",), scopes=("victim-03",)),))
         chaotic = self._seeded_delta(tmp_path, "parse", fault_plan=plan)
 
-        assert not chaotic.errors
-        assert chaotic.infected_machines == reference.infected_machines
-        assert _identities(chaotic.reports["victim-03"]) == \
-            _identities(reference.reports["victim-03"])
+        assert not _errors(chaotic)
+        assert chaotic.infected_machines() == reference.infected_machines()
+        assert _recall(chaotic)["victim-03"] == \
+            _recall(reference)["victim-03"]
 
 
 class TestGracefulDegradation:

@@ -84,7 +84,8 @@ class TestRisServer:
         assert report.is_clean
         assert len(report.noise()) == 2
 
-    def test_fleet_sweep(self):
+    def test_fleet_sweep(self, tmp_path):
+        from repro.fleet import FleetCoordinator
         from repro.machine import Machine
         machines = []
         for index in range(3):
@@ -93,9 +94,11 @@ class TestRisServer:
             machine.boot()
             machines.append(machine)
         HackerDefender().install(machines[1])
-        result = RisServer().sweep(machines)
-        assert result.infected_machines == ["client-1"]
-        assert "client-1" in result.summary()
+        aggregate = FleetCoordinator(str(tmp_path), machines).run_epoch()
+        assert aggregate.infected_machines() == ["client-1"]
+        infected = next(v for v in aggregate.verdicts
+                        if v.machine == "client-1")
+        assert infected.confirmed_by == "winpe"
 
     def test_reboot_after_false(self, booted):
         RisServer().network_boot_scan(booted, reboot_after=False)

@@ -226,6 +226,40 @@ def machines_by_name(machines):
     return {machine.name: machine for machine in machines}
 
 
+def run_epoch_via_controller(coordinator, machines):
+    """One epoch through the :class:`ScanController` lease/ack handlers.
+
+    Socketless: an in-memory :class:`ScanAgent` scans each lease and
+    builds its ack frame exactly as a forked agent would, and the
+    controller checkpoints it — the distributed path minus the wire.
+    """
+    from repro.fleet.aggregator import FleetAggregator
+    from repro.fleet.agent import ScanAgent
+    from repro.fleet.controller import AgentSession, ScanController
+
+    by_name = machines_by_name(machines)
+    controller = ScanController(coordinator, secret="s")
+    agent = ScanAgent(("127.0.0.1", 0), "s", "agent-0", by_name.__getitem__)
+    session = AgentSession("agent-0", 0, now=0.0)
+    epoch = coordinator.next_epoch_number()
+    aggregator = FleetAggregator(
+        epoch, outbreak_threshold=coordinator.outbreak_threshold)
+    coordinator._open_or_resume(epoch, aggregator)
+    controller.begin_epoch(epoch, aggregator)
+    while True:
+        reply = controller._handle_lease(session)
+        if reply["op"] != "lease-ok":
+            assert reply["state"] == "drained"
+            break
+        lease = reply["lease"]
+        controller._handle_ack(session, agent._scan_to_ack(
+            lease["machine"], lease["epoch"], lease["token"],
+            reply.get("baseline")))
+    controller.end_epoch()
+    coordinator._finish_epoch(aggregator)
+    return aggregator
+
+
 class TestCheckpointProperty:
     """Hypothesis: any kill point yields an identical completed epoch."""
 
@@ -404,13 +438,31 @@ class TestLeaseRecoveryEdgeCases:
         assert "3 late ack(s) dropped" in capsys.readouterr().out
 
     def test_kill_between_journal_and_ack_resumes_identically(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         """The narrowest crash window: baseline stored, verdict
         journaled, queue ack never committed."""
+        self._kill_between_journal_and_ack(
+            tmp_path, monkeypatch, lambda c, machines: c.run_epoch())
+
+    def test_kill_between_journal_and_ack_resumes_identically_via_controller(
+            self, tmp_path, monkeypatch):
+        """The same crash window on the distributed checkpoint path."""
+        self._kill_between_journal_and_ack(
+            tmp_path, monkeypatch, run_epoch_via_controller)
+
+    def _kill_between_journal_and_ack(self, tmp_path, monkeypatch, run):
         reference = FleetCoordinator(
             str(tmp_path / "ref"), build_fleet(size=3, infected=(1,)),
             workers=1).run_epoch()
 
+        checkpoints = []
+        shared = FleetCoordinator._checkpoint
+
+        def counting(coordinator, lease, verdict, aggregator):
+            checkpoints.append(verdict.machine)
+            return shared(coordinator, lease, verdict, aggregator)
+
+        monkeypatch.setattr(FleetCoordinator, "_checkpoint", counting)
         fleet_dir = str(tmp_path / "gap")
         machines = build_fleet(size=3, infected=(1,))
         coordinator = FleetCoordinator(fleet_dir, machines, workers=1)
@@ -425,13 +477,15 @@ class TestLeaseRecoveryEdgeCases:
 
         coordinator.queue.ack = gap_ack
         with pytest.raises(CoordinatorKilled):
-            coordinator.run_epoch()
-        resumed = FleetCoordinator(fleet_dir, machines,
-                                   workers=1).run_epoch()
+            run(coordinator, machines)
+        resumed = run(FleetCoordinator(fleet_dir, machines, workers=1),
+                      machines)
         assert verdict_key(resumed) == verdict_key(reference)
         counts = Counter(record["machine"]
                          for record in machine_records(fleet_dir, epoch=1))
         assert sorted(counts.values()) == [1, 1, 2]
+        # Every journaled verdict went through the one shared checkpoint.
+        assert Counter(checkpoints) == counts
 
     def test_durable_knob_fsyncs_every_append(self, tmp_path,
                                               monkeypatch):
@@ -472,6 +526,47 @@ class TestLeaseRecoveryEdgeCases:
             workers=1, queue_durable=True)
         coordinator.run_epoch()
         assert counts["n"] >= per_op
+
+
+class TestInMemoryHistory:
+    """The coordinator folds its own journal writes into the scheduler
+    history; ``load_history`` (a full replay) stays the reference."""
+
+    @pytest.mark.parametrize("case", ["back-to-back", "kill-resume",
+                                      "retention", "late-ack"])
+    def test_history_matches_replay_at_every_epoch_open(
+            self, tmp_path, monkeypatch, case):
+        from repro.fleet.scheduler import load_history
+
+        opened = []
+        real_open = FleetCoordinator._open_or_resume
+
+        def checked(coordinator, epoch, aggregator):
+            assert coordinator.history == load_history(
+                coordinator.epochs_path)
+            opened.append(epoch)
+            return real_open(coordinator, epoch, aggregator)
+
+        monkeypatch.setattr(FleetCoordinator, "_open_or_resume", checked)
+        fleet_dir = str(tmp_path)
+        machines = build_fleet(size=3, infected=(1,))
+        kwargs = {"retention": dict(compact_every=1, retain_epochs=1),
+                  "late-ack": dict(lease_seconds=0.01)}.get(case, {})
+        coordinator = FleetCoordinator(fleet_dir, machines, workers=2,
+                                       **kwargs)
+        for epoch in range(3):
+            machines[epoch % 3].volume.create_file(
+                f"\\Temp\\churn-{epoch}.bin", b"x")
+            if case == "kill-resume" and epoch == 1:
+                with pytest.raises(CoordinatorKilled):
+                    coordinator.run_epoch(kill_after_acks=1)
+                coordinator = FleetCoordinator(fleet_dir, machines,
+                                               workers=2)
+            coordinator.run_epoch()
+        assert coordinator.history == load_history(coordinator.epochs_path)
+        assert coordinator.history.last_epoch_no == 3
+        assert opened == ([1, 2, 2, 3] if case == "kill-resume"
+                          else [1, 2, 3])
 
 
 class TestCliAndReport:

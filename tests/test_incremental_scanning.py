@@ -19,6 +19,7 @@ from repro.core.risboot import RisServer
 from repro.core.snapshot import FileEntry, ResourceType, ScanSnapshot
 from repro.disk import ChangeJournal, Disk, DiskGeometry
 from repro.errors import FileExists, FileNotFound, VolumeError
+from repro.fleet import FleetCoordinator
 from repro.ghostware import Aphex
 from repro.machine import Machine
 from repro.ntfs.mft_parser import MftParser
@@ -399,121 +400,130 @@ def _fleet(count=5, infected=(2,)):
     return machines
 
 
+def _by_machine(aggregate):
+    return {verdict.machine: verdict for verdict in aggregate.verdicts}
+
+
 class TestDeltaSweep:
+    """The fleet's steady epochs are the delta sweep: a machine whose
+    disk generation matches its stored baseline is skipped, a changed
+    one is rescanned through the incremental cache repair."""
+
     def test_unchanged_fleet_fully_skipped(self, tmp_path):
         machines = _fleet()
-        server = RisServer()
-        store = BaselineStore(str(tmp_path))
-        full = server.sweep(machines, mode="full", baseline_store=store)
-        delta = server.sweep(machines, mode="delta", baseline_store=store)
-        assert delta.mode == "delta"
-        assert sorted(delta.delta_skipped) == sorted(
-            machine.name for machine in machines)
-        assert delta.infected_machines == full.infected_machines
-        for name in delta.delta_skipped:
-            assert delta.reports[name].mode == "ris-delta-skip"
-            assert delta.baseline_ids[name] == \
-                store.get(name).baseline_id
+        coordinator = FleetCoordinator(str(tmp_path), machines)
+        full = coordinator.run_epoch()
+        delta = coordinator.run_epoch()
+        assert delta.summary.skipped == len(machines)
+        assert delta.infected_machines() == full.infected_machines()
+        for name, verdict in _by_machine(delta).items():
+            assert verdict.skipped
+            assert verdict.baseline_id == \
+                coordinator.store.get(name).baseline_id
+            assert verdict.baseline_id == \
+                _by_machine(full)[name].baseline_id
 
     def test_changed_machines_rescanned_incrementally(self, tmp_path):
         machines = _fleet()
-        server = RisServer()
-        store = BaselineStore(str(tmp_path))
-        full = server.sweep(machines, mode="full", baseline_store=store)
+        coordinator = FleetCoordinator(str(tmp_path), machines)
+        full = coordinator.run_epoch()
         machines[1].volume.create_file("\\Temp\\drop.txt", b"x")
         machines[4].volume.create_file("\\Temp\\drop.txt", b"x")
-        delta = server.sweep(machines, mode="delta", baseline_store=store)
-        assert sorted(delta.delta_skipped) == \
+        patched = global_metrics().counter("journal.records_patched")
+        delta = coordinator.run_epoch()
+        assert sorted(name for name, verdict in _by_machine(delta).items()
+                      if verdict.skipped) == \
             ["client-0", "client-2", "client-3"]
-        assert delta.infected_machines == full.infected_machines
-        assert delta.delta_stats["journal.records_patched"] > 0
-        # The rescans advanced their baselines: a third sweep skips all.
-        third = server.sweep(machines, mode="delta", baseline_store=store)
-        assert len(third.delta_skipped) == len(machines)
+        assert delta.infected_machines() == full.infected_machines()
+        assert global_metrics().counter("journal.records_patched") > \
+            patched
+        # The rescans advanced their baselines: a third epoch skips all.
+        third = coordinator.run_epoch()
+        assert third.summary.skipped == len(machines)
 
     def test_findings_identical_to_full_resweep(self, tmp_path):
         machines = _fleet(count=4, infected=(1,))
-        server = RisServer()
-        store = BaselineStore(str(tmp_path))
-        server.sweep(machines, mode="full", baseline_store=store)
+        coordinator = FleetCoordinator(str(tmp_path / "delta"), machines)
+        coordinator.run_epoch()
         machines[3].volume.create_file("\\Temp\\evil.bin", b"z")
-        delta = server.sweep(machines, mode="delta", baseline_store=store)
-        full = server.sweep(machines, mode="full")
-        assert delta.infected_machines == full.infected_machines
-        for name, report in full.reports.items():
-            delta_ids = sorted(str(f.entry.identity)
-                               for f in delta.reports[name].findings)
-            full_ids = sorted(str(f.entry.identity)
-                              for f in report.findings)
-            assert delta_ids == full_ids
+        delta = coordinator.run_epoch()
+        full = FleetCoordinator(str(tmp_path / "full"),
+                                machines).run_epoch()
+        assert full.summary.scanned == len(machines)
+        assert delta.infected_machines() == full.infected_machines()
+        for name, verdict in _by_machine(full).items():
+            assert sorted(_by_machine(delta)[name].finding_ids) == \
+                sorted(verdict.finding_ids)
 
     def test_dispatch_orders_longest_scan_first(self, tmp_path,
                                                 monkeypatch):
+        import repro.fleet.coordinator as coordinator_module
+
         machines = _fleet(count=4, infected=())
-        store = BaselineStore(str(tmp_path))
-        server = RisServer()
-        server.sweep(machines, mode="full", baseline_store=store)
+        coordinator = FleetCoordinator(str(tmp_path), machines, workers=1)
+        coordinator.run_epoch()
         # Rewrite timings (at a stale generation, so everyone rescans)
-        # making client-2 historically slowest; client-0 loses its
-        # baseline entirely → unknown cost → dispatched first of all.
-        for name, seconds in (("client-1", 1.0), ("client-2", 9.0),
-                              ("client-3", 3.0)):
+        # making client-2 historically slowest.
+        store = coordinator.store
+        for name, seconds in (("client-0", 5.0), ("client-1", 1.0),
+                              ("client-2", 9.0), ("client-3", 3.0)):
             baseline = store.get(name)
             store.put(name, baseline.rehydrate(), 0, scan_seconds=seconds)
-        store._baselines.pop("client-0")
         order = []
-        original = RisServer.network_boot_scan
+        original = coordinator_module.perform_machine_scan
 
-        def recording(self, machine, **kwargs):
+        def recording(machine, *args, **kwargs):
             order.append(machine.name)
-            return original(self, machine, **kwargs)
+            return original(machine, *args, **kwargs)
 
-        monkeypatch.setattr(RisServer, "network_boot_scan", recording)
-        server.sweep(machines, mode="delta", baseline_store=store)
-        assert order == ["client-0", "client-2", "client-3", "client-1"]
-
-    def test_results_keep_input_order(self, tmp_path):
-        machines = _fleet(count=4, infected=())
-        store = BaselineStore(str(tmp_path))
-        server = RisServer()
-        result = server.sweep(machines, mode="delta", baseline_store=store)
-        assert list(result.reports) == [m.name for m in machines]
+        monkeypatch.setattr(coordinator_module, "perform_machine_scan",
+                            recording)
+        coordinator.run_epoch()
+        assert order == ["client-2", "client-0", "client-3", "client-1"]
 
     def test_error_machine_keeps_old_baseline(self, tmp_path):
         from repro.faults.plan import (FaultPlan, FaultSpec,
-                                       SITE_RIS_TRANSPORT)
+                                       SITE_WINAPI_ENUM)
         machines = _fleet(count=3, infected=())
-        store = BaselineStore(str(tmp_path))
-        RisServer().sweep(machines, mode="full", baseline_store=store)
-        old = store.get("client-1").baseline_id
+        fleet_dir = str(tmp_path)
+        FleetCoordinator(fleet_dir, machines).run_epoch()
+        old = BaselineStore(fleet_dir).get("client-1").baseline_id
         machines[1].volume.create_file("\\Temp\\touch.txt", b"x")
         plan = FaultPlan(seed=7, specs=(
-            FaultSpec(SITE_RIS_TRANSPORT, mode="always",
+            FaultSpec(SITE_WINAPI_ENUM, mode="always",
                       kinds=("machine_death",), mean_delay_s=0.0,
                       scopes=("client-1",)),))
-        result = RisServer(fault_plan=plan, max_retries=1).sweep(
-            machines, mode="delta", baseline_store=store)
-        assert "client-1" in result.quarantined
+        coordinator = FleetCoordinator(fleet_dir, machines, fault_plan=plan)
+        aggregate = coordinator.run_epoch()
+        assert _by_machine(aggregate)["client-1"].error.startswith(
+            "MachineUnavailable")
         # The failed rescan must not overwrite the last good baseline.
-        assert store.get("client-1").baseline_id == old
-
-    def test_mode_validation(self, tmp_path):
-        machines = _fleet(count=1, infected=())
-        server = RisServer()
-        with pytest.raises(ValueError):
-            server.sweep(machines, mode="delta")
-        with pytest.raises(ValueError):
-            server.sweep(machines, mode="weekly")
+        assert coordinator.store.get("client-1").baseline_id == old
 
     def test_health_jsonl_carries_delta_provenance(self, tmp_path):
+        import importlib.util
+        from pathlib import Path
+
         machines = _fleet(count=3, infected=(0,))
-        store = BaselineStore(str(tmp_path))
-        server = RisServer()
-        server.sweep(machines, mode="full", baseline_store=store)
+        coordinator = FleetCoordinator(str(tmp_path), machines)
+        coordinator.run_epoch()
         machines[2].volume.create_file("\\Temp\\x.txt", b"x")
-        delta = server.sweep(machines, mode="delta", baseline_store=store,
-                             collect_telemetry=True)
-        jsonl = delta.health.to_jsonl()
-        assert '"type": "delta"' in jsonl
-        assert delta.health.delta["skipped"] == ["client-0", "client-1"]
-        assert "client-2" not in delta.health.delta["skipped"]
+        coordinator.run_epoch()
+
+        # The epochs journal is the JSONL the operator report renders.
+        spec = importlib.util.spec_from_file_location(
+            "scan_report", Path(__file__).resolve().parent.parent
+            / "scripts" / "scan_report.py")
+        scan_report = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(scan_report)
+        records = scan_report.load_jsonl(tmp_path / "epochs.jsonl")
+        second = [record for record in records["fleet-machine"]
+                  if record["epoch"] == 2]
+        skipped = sorted(record["machine"] for record in second
+                         if record["skipped"])
+        assert skipped == ["client-0", "client-1"]
+        for record in second:
+            assert record["baseline_id"] == \
+                coordinator.store.get(record["machine"]).baseline_id
+        output = scan_report.render_fleet(records)
+        assert "skip" in output and "client-2" in output

@@ -175,7 +175,15 @@ class TestConsumersShareTornTailBehavior:
         assert sorted(replayed.pending_machines()) == ["m0", "m1"]
 
     def test_telemetry_load_jsonl_survives_torn_tail(self, tmp_path):
-        from repro.telemetry.health import load_jsonl
+        import importlib.util
+        from pathlib import Path
+
+        spec = importlib.util.spec_from_file_location(
+            "scan_report", Path(__file__).resolve().parent.parent
+            / "scripts" / "scan_report.py")
+        scan_report = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(scan_report)
+        load_jsonl = scan_report.load_jsonl
 
         path = str(tmp_path / "t.jsonl")
         append_journal(path, {"type": "span", "name": "scan"})

@@ -1,93 +1,103 @@
-"""Parallel RIS fleet sweeps: determinism, fault isolation, stats.
+"""Enterprise fleet sweeps (Section 5) on the fleet engine.
 
-Section 5's enterprise deployment at scale: the sweep must produce the
-same findings whether clients are scanned one at a time or eight at a
-time, one broken client must not take the fleet sweep down with it, and
-the result carries enough stats to reason about sweep cost.
+The RIS deployment at scale is a :class:`~repro.fleet.FleetCoordinator`
+epoch: it must produce the same findings whether clients are scanned
+one at a time in-process or in parallel by forked scan agents, one
+broken client must not take the fleet epoch down with it, and the
+epoch carries enough stats to reason about sweep cost.
 """
 
 from __future__ import annotations
 
-from repro.core import RisServer
+import json
+import sys
+
+import pytest
+
+from repro.errors import MachineStateError
+from repro.fleet import FleetCoordinator
 from repro.ghostware import HackerDefender
 from repro.machine import Machine
 
-INFECTED = (2, 7, 11)
+INFECTED = (2, 5)
+
+
+def _client(name, infected=False):
+    machine = Machine(name, disk_mb=256, max_records=8192)
+    machine.boot()
+    if infected:
+        HackerDefender().install(machine)
+    return machine
 
 
 def _fleet(count, infected=(), prefix="client"):
-    machines = []
-    for index in range(count):
-        machine = Machine(f"{prefix}-{index:02d}", disk_mb=256,
-                          max_records=8192)
-        machine.boot()
-        if index in infected:
-            HackerDefender().install(machine)
-        machines.append(machine)
-    return machines
+    return [_client(f"{prefix}-{index:02d}", index in infected)
+            for index in range(count)]
 
 
-def _finding_identities(report):
-    return sorted((f.resource_type.value, str(f.entry.identity))
-                  for f in report.findings if not f.is_noise)
+def _agent_factory(name):
+    return _client(name, int(name.rsplit("-", 1)[1]) in INFECTED)
+
+
+def _finding_ids(aggregate):
+    return {v.machine: (v.verdict, sorted(v.finding_ids))
+            for v in aggregate.verdicts}
 
 
 class TestParallelDeterminism:
-    def test_serial_and_parallel_sweeps_agree(self):
-        fleet = _fleet(16, infected=INFECTED)
+    @pytest.mark.skipif(sys.platform == "win32",
+                        reason="distributed mode forks")
+    def test_serial_and_parallel_sweeps_agree(self, tmp_path):
         expected = sorted(f"client-{i:02d}" for i in INFECTED)
+        serial = FleetCoordinator(str(tmp_path / "serial"),
+                                  _fleet(8, infected=INFECTED)).run_epoch()
+        roster = [f"client-{index:02d}" for index in range(8)]
+        parallel = FleetCoordinator(
+            str(tmp_path / "parallel"), roster).run_distributed(
+                1, _agent_factory, agents=2)[0]
 
-        serial = RisServer().sweep(fleet, max_workers=1)
-        parallel = RisServer().sweep(fleet, max_workers=8)
-
-        assert serial.infected_machines == expected
-        assert parallel.infected_machines == expected
-        for name in serial.reports:
-            assert _finding_identities(serial.reports[name]) == \
-                _finding_identities(parallel.reports[name])
-
-    def test_report_order_matches_input_order(self):
-        fleet = _fleet(6)
-        result = RisServer().sweep(fleet, max_workers=4)
-        assert list(result.reports) == [m.name for m in fleet]
-
-    def test_worker_count_clamped_to_fleet_size(self):
-        fleet = _fleet(2)
-        result = RisServer().sweep(fleet, max_workers=16)
-        assert result.worker_count == 2
+        assert serial.infected_machines() == expected
+        assert parallel.infected_machines() == expected
+        assert _finding_ids(serial) == _finding_ids(parallel)
 
 
 class TestFaultIsolation:
-    def test_failing_client_records_error_not_abort(self):
+    def test_failing_client_records_error_not_abort(self, tmp_path,
+                                                    monkeypatch):
+        import repro.fleet.coordinator as coordinator_module
+
         fleet = _fleet(4, infected=(1,))
-        # Never booted: its scan raises MachineStateError mid-sweep.
-        broken = Machine("client-broken", disk_mb=256, max_records=8192)
-        fleet.insert(2, broken)
+        fleet.insert(2, _client("client-broken"))
+        real_scan = coordinator_module.perform_machine_scan
 
-        result = RisServer().sweep(fleet, max_workers=4)
+        def scan(machine, *args, **kwargs):
+            if machine.name == "client-broken":
+                raise MachineStateError("client-broken is powered off")
+            return real_scan(machine, *args, **kwargs)
 
-        assert "client-broken" in result.errors
-        assert "MachineStateError" in result.errors["client-broken"]
-        assert result.reports["client-broken"].mode == "ris-error"
-        assert result.reports["client-broken"].is_clean
-        assert result.infected_machines == ["client-01"]
-        assert len(result.reports) == 5
-        assert "ERROR" in result.summary()
+        monkeypatch.setattr(coordinator_module, "perform_machine_scan",
+                            scan)
+        aggregate = FleetCoordinator(str(tmp_path), fleet).run_epoch()
+
+        broken = next(v for v in aggregate.verdicts
+                      if v.machine == "client-broken")
+        assert broken.verdict == "error"
+        assert broken.error.startswith("MachineStateError")
+        assert aggregate.infected_machines() == ["client-01"]
+        assert aggregate.summary.machines == 5
+        assert aggregate.summary.errors == 1
 
 
 class TestSweepStats:
-    def test_stats_populated(self):
-        fleet = _fleet(3)
-        result = RisServer().sweep(fleet, max_workers=2)
-        assert result.worker_count == 2
-        assert result.wall_seconds > 0
-        assert result.simulated_seconds > 0
-        assert f"{result.worker_count} worker(s)" in result.summary()
-
-    def test_parallel_overlaps_client_latency(self):
-        fleet = _fleet(8)
-        server = RisServer(client_wait_seconds=0.05)
-        serial = server.sweep(fleet, max_workers=1)
-        parallel = server.sweep(fleet, max_workers=8)
-        # 8 × 50 ms of per-client wait collapses to ~one wait slice.
-        assert parallel.wall_seconds < serial.wall_seconds * 0.75
+    def test_stats_populated(self, tmp_path):
+        aggregate = FleetCoordinator(str(tmp_path), _fleet(3)).run_epoch()
+        summary = aggregate.summary
+        assert (summary.machines, summary.scanned) == (3, 3)
+        assert summary.scan_seconds > 0
+        assert all(v.scan_seconds > 0 for v in aggregate.verdicts)
+        # The same stats are durable in the journal's epoch-end record.
+        with open(tmp_path / "epochs.jsonl", encoding="utf-8") as handle:
+            ends = [json.loads(line) for line in handle
+                    if '"epoch-end"' in line]
+        assert ends == [dict(summary.to_dict(), type="epoch-end",
+                             at=ends[0]["at"])]

@@ -1,4 +1,4 @@
-"""Telemetry through the scan stack: spans, audit attribution, health.
+"""Telemetry through the scan stack: spans, audit attribution, journals.
 
 The acceptance scenario from the issue: a Hacker Defender detection run
 with tracing enabled must produce a span tree and an audit log that
@@ -7,19 +7,20 @@ key, and process — and the metrics snapshot must show nonzero cache hit
 counters after a warm scan.
 """
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.ghostbuster import GhostBuster
-from repro.core.risboot import RisServer
+from repro.fleet import FleetCoordinator
 from repro.machine import Machine
 from repro.ghostware import (FuRootkit, HackerDefender, HideFoldersXP,
                              Vanquish)
 from repro.registry.hive_parser import clear_hive_cache
 from repro.telemetry import Telemetry
 from repro.telemetry.audit import NO_INTERPOSITION
-from repro.telemetry.health import load_jsonl
 from repro.telemetry.metrics import global_metrics, reset_global_metrics
 
 
@@ -192,7 +193,16 @@ class TestAuditCompleteness:
             ["IRP:enumerate_directory"]
 
 
-# -- fleet health over the parallel sweep -------------------------------------
+# -- fleet epochs under telemetry, and the journal they leave -----------------
+
+
+def _scan_report():
+    spec = importlib.util.spec_from_file_location(
+        "scan_report", Path(__file__).resolve().parent.parent
+        / "scripts" / "scan_report.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestFleetHealth:
@@ -206,115 +216,72 @@ class TestFleetHealth:
             fleet.append(machine)
         return fleet
 
-    def test_parallel_sweep_confines_spans_per_machine(self):
+    def traced_epoch(self, fleet_dir, fleet):
+        telemetry = Telemetry.enabled()
+        with telemetry.activate():
+            aggregate = FleetCoordinator(fleet_dir, fleet).run_epoch()
+        return aggregate, [span.to_dict()
+                           for span in telemetry.tracer.spans()]
+
+    def test_fleet_epoch_confines_spans_per_machine(self, tmp_path):
         fleet = self.make_fleet(size=4)
-        result = RisServer().sweep(fleet, max_workers=4,
-                                   collect_telemetry=True)
-        health = result.health
-        assert health is not None
-        assert len(health.machines) == 4
-        for machine_health in health.machines:
-            spans = machine_health.spans
-            assert spans, machine_health.machine
-            roots = [span for span in spans
-                     if span["parent_id"] is None]
-            assert len(roots) == 1
-            assert roots[0]["name"] == "ris.netboot_scan"
-            # every span in this machine's tree names this machine or
-            # is a child of its root — no cross-thread contamination
-            assert roots[0]["attrs"]["machine"] == machine_health.machine
-            ids = {span["span_id"] for span in spans}
-            for span in spans:
-                if span["parent_id"] is not None:
-                    assert span["parent_id"] in ids
+        __, spans = self.traced_epoch(str(tmp_path), fleet)
+        roots = [span for span in spans if span["parent_id"] is None]
+        assert [root["name"] for root in roots] == ["fleet.epoch"]
+        scans = [span for span in spans if span["name"] == "fleet.scan"]
+        # one scan span per machine, each hanging off the epoch root
+        assert sorted(span["attrs"]["machine"] for span in scans) == \
+            [machine.name for machine in fleet]
+        assert all(span["parent_id"] == roots[0]["span_id"]
+                   for span in scans)
+        ids = {span["span_id"] for span in spans}
+        for span in spans:
+            if span["parent_id"] is not None:
+                assert span["parent_id"] in ids
 
-    def test_findings_match_serial_and_health_flags_infected(self):
-        serial_fleet = self.make_fleet(size=4)
-        parallel_fleet = self.make_fleet(size=4)
-        server = RisServer()
-        serial = server.sweep(serial_fleet, max_workers=1)
-        parallel = server.sweep(parallel_fleet, max_workers=4,
-                                collect_telemetry=True)
-        assert serial.infected_machines == parallel.infected_machines
-        assert parallel.health.infected() == parallel.infected_machines
-        infected = parallel.health.machine("client-1")
-        assert infected.status == "INFECTED"
-        assert infected.interposed_apis
-        clean = parallel.health.machine("client-0")
-        assert clean.status == "clean"
-        assert clean.audit_events == []
-
-    def test_error_taxonomy_and_slowest(self):
-        fleet = self.make_fleet(size=3, infected=())
-
-        class Exploding:
-            name = "boom-client"
-            clock = fleet[0].clock
-
-        server = RisServer()
-
-        original = server.network_boot_scan
-
-        def failing(machine, **kwargs):
-            if machine.name == "client-2":
-                raise RuntimeError("PXE timeout")
-            return original(machine, **kwargs)
-
-        server.network_boot_scan = failing
-        result = server.sweep(fleet, max_workers=2,
-                              collect_telemetry=True)
-        assert result.errors == {"client-2": "RuntimeError: PXE timeout"}
-        taxonomy = result.health.error_taxonomy()
-        assert taxonomy == {"RuntimeError": 1}
-        assert result.health.machine("client-2").status == "ERROR"
-        slowest = result.health.slowest(count=2)
-        assert len(slowest) == 2
-        assert slowest[0][1] >= slowest[1][1]
-
-    def test_machine_seconds_histogram_observed(self):
-        fleet = self.make_fleet(size=2, infected=())
-        RisServer().sweep(fleet, max_workers=2, collect_telemetry=True)
-        histograms = global_metrics().snapshot()["histograms"]
-        assert histograms["ris.sweep.machine_seconds"]["count"] == 2
+    def test_findings_match_serial_and_health_flags_infected(
+            self, tmp_path):
+        untraced = FleetCoordinator(str(tmp_path / "plain"),
+                                    self.make_fleet(size=4)).run_epoch()
+        traced, __ = self.traced_epoch(str(tmp_path / "traced"),
+                                       self.make_fleet(size=4))
+        assert traced.infected_machines() == untraced.infected_machines()
+        assert {v.machine: sorted(v.finding_ids) for v in traced.verdicts} \
+            == {v.machine: sorted(v.finding_ids)
+                for v in untraced.verdicts}
+        records = _scan_report().load_jsonl(
+            tmp_path / "traced" / "epochs.jsonl")
+        verdicts = {record["machine"]: record["verdict"]
+                    for record in records["fleet-machine"]}
+        assert verdicts["client-1"] == "infected"
+        assert verdicts["client-0"] == "clean"
 
     def test_jsonl_roundtrip(self, tmp_path):
-        fleet = self.make_fleet(size=2)
-        result = RisServer().sweep(fleet, max_workers=2,
-                                   collect_telemetry=True)
-        path = tmp_path / "sweep.jsonl"
-        result.health.write_jsonl(path)
-        records = load_jsonl(path)
-        assert len(records["machine"]) == 2
-        assert records["sweep"][0]["machines"] == 2
-        assert records["span"]
-        assert records["audit"]   # client-1 is infected
-        assert "counters" in records["metrics"][0]
+        FleetCoordinator(str(tmp_path), self.make_fleet(size=2)).run_epoch()
+        path = tmp_path / "epochs.jsonl"
+        records = _scan_report().load_jsonl(path)
+        assert len(records["fleet-machine"]) == 2
+        assert records["epoch-start"][0]["machines"] == 2
+        assert records["epoch-end"][0]["infected"] == 1
         for line in path.read_text().splitlines():
             json.loads(line)   # every line is standalone JSON
 
     def test_truncated_jsonl_line_skipped_with_warning(self, tmp_path):
-        # A writer that died mid-record leaves a torn final line; the
-        # loader must keep every intact record and warn, not crash.
-        fleet = self.make_fleet(size=2)
-        result = RisServer().sweep(fleet, max_workers=1,
-                                   collect_telemetry=True)
-        path = tmp_path / "sweep.jsonl"
-        result.health.write_jsonl(path)
-        intact = load_jsonl(path)
+        # A writer that died mid-record leaves a torn line; the loader
+        # must keep every intact record and warn, not crash.
+        FleetCoordinator(str(tmp_path), self.make_fleet(size=2)).run_epoch()
+        path = tmp_path / "epochs.jsonl"
+        scan_report = _scan_report()
+        intact = scan_report.load_jsonl(path)
 
         lines = path.read_text().splitlines()
-        lines.insert(1, '{"type": "machine", "mach')   # torn record
+        lines.insert(1, '{"type": "fleet-machine", "mach')   # torn record
         path.write_text("\n".join(lines) + "\n")
 
         with pytest.warns(UserWarning, match="malformed telemetry"):
-            torn = load_jsonl(path)
-        assert len(torn["machine"]) == len(intact["machine"])
-        assert torn["sweep"] == intact["sweep"]
-
-    def test_sweep_without_telemetry_has_no_health(self):
-        fleet = self.make_fleet(size=2, infected=())
-        result = RisServer().sweep(fleet, max_workers=2)
-        assert result.health is None
+            torn = scan_report.load_jsonl(path)
+        assert torn["fleet-machine"] == intact["fleet-machine"]
+        assert torn["epoch-end"] == intact["epoch-end"]
 
 
 # -- scan-level counters ------------------------------------------------------
