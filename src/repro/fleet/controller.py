@@ -54,7 +54,6 @@ from repro.errors import (CircuitOpen, StaleLease, TransientIoError,
 from repro.fleet import transport
 from repro.fleet.aggregator import MachineVerdict
 from repro.fleet.queue import Lease
-from repro.fleet.scanwork import skip_verdict
 from repro.telemetry.metrics import global_metrics
 
 logger = logging.getLogger(__name__)
@@ -395,10 +394,10 @@ class ScanController:
                 # and keeps drawing for the agent.
                 metrics.incr("fleet.quarantined")
                 self.coordinator._checkpoint(
-                    lease,
-                    MachineVerdict(machine=lease.machine,
-                                   epoch=lease.epoch, verdict="error",
-                                   error=str(exc)),
+                    [(lease, MachineVerdict(machine=lease.machine,
+                                            epoch=lease.epoch,
+                                            verdict="error",
+                                            error=str(exc)))],
                     self._aggregator)
                 continue
             session.leases[lease.machine] = lease
@@ -411,9 +410,13 @@ class ScanController:
             "expires_at": lease.expires_at, "shard": lease.shard}}
         baseline = self.coordinator.store.get(lease.machine)
         if baseline is not None:
+            # The agent decides the skip against its own disk; the
+            # verdict it would rehydrate comes from the coordinator's
+            # memo, so rehydration reruns only when a baseline changes.
             reply["baseline"] = {
                 "disk_generation": baseline.disk_generation,
-                "verdict": skip_verdict(baseline, lease.epoch).to_dict()}
+                "verdict": self.coordinator._remembered_skip(
+                    baseline, lease.epoch).to_dict()}
         return reply
 
     def _handle_renew(self, session: AgentSession, message: Dict) -> Dict:
@@ -476,7 +479,8 @@ class ScanController:
         elif verdict.scanned:
             self.coordinator.breaker.record_success(machine)
         try:
-            self.coordinator._checkpoint(current, verdict, self._aggregator)
+            self.coordinator._checkpoint([(current, verdict)],
+                                         self._aggregator)
         except StaleLease:
             return self._late_ack(session, machine)
         session.acks += 1

@@ -8,9 +8,13 @@ verdict exactly once.  The coordinator:
 1. plans the epoch (:class:`~repro.fleet.scheduler.FleetScheduler` —
    staleness + risk + LPT), deals the roster into ``workers`` queue
    shards, and opens it on the durable :class:`~repro.fleet.queue.WorkQueue`;
-2. drives every machine through lease → scan → checkpoint → ack, one
-   machine at a time in-process (round-robin over the shards), or one
-   shard per forked agent in :meth:`FleetCoordinator.run_distributed`;
+2. settles every machine whose stored verdict still holds (disk
+   generation unchanged) in one skip-set checkpoint right after the
+   epoch opens, then drives the rest through lease → scan → checkpoint
+   → ack, one machine at a time in-process (round-robin over the
+   shards); in :meth:`FleetCoordinator.run_distributed` every machine
+   is leased to one forked agent per shard, and the agent decides the
+   skip against its own disk;
 3. escalates finding-bearing machines through the
    :class:`~repro.fleet.policy.EscalationPolicy` (inside findings buy
    an outside-the-box confirmation with ``confirmed_by`` provenance);
@@ -20,7 +24,8 @@ verdict exactly once.  The coordinator:
 5. compacts the baseline store and queue WAL every ``compact_every``
    epochs.
 
-**The checkpoint protocol.**  Per machine, the write order is fixed:
+**The checkpoint protocol.**  Per scanned machine, the write order is
+fixed:
 
 ====  ==========================================================
  1    ``BaselineStore.put`` — the durable verdict + generation
@@ -36,11 +41,29 @@ fault streams are seeded per ``(site, machine)`` — independent of
 scheduling order — the resumed epoch's verdicts are element-identical
 to an uninterrupted run's.
 
+The in-process **skip set** is checkpointed as one batch, with no lease
+and no baseline write (the stored baseline *is* the verdict):
+
+====  ==========================================================
+ 2    one group write of every skipped machine's ``fleet-machine``
+      record to ``epochs.jsonl``
+ 3    one group write of their ``ack`` lines (token 0) to the WAL
+====  ==========================================================
+
+A kill before step 2 leaves the skip set pending; a kill between 2 and
+3 leaves its records journaled but unacked, so the resume decides the
+same skips again and journals them a second time (last one wins, the
+same as a scan killed in its journal → ack gap); after 3 the skip set
+is acked like any other machine.  The set is then fed to the aggregator
+in the order the drain loop would have leased it, ahead of every scan
+of the epoch, so outbreak alerts list skipped carriers first.
+
 ``kill_after_acks`` is the deterministic stand-in for ``SIGKILL`` in
 tests: the coordinator raises :class:`~repro.errors.CoordinatorKilled`
-immediately *after* the N-th ack completes, i.e. exactly at a
-checkpoint boundary, which is the only place the synchronous loop can
-die anyway (every step in between is one atomic append).
+immediately *after* the checkpoint that brings the ack count to N
+completes — exactly at a checkpoint boundary, which is the only place
+the synchronous loop can die anyway (every step in between is one
+atomic append).  The skip set's acks count as one boundary.
 """
 
 from __future__ import annotations
@@ -48,10 +71,11 @@ from __future__ import annotations
 import logging
 import os
 import time
-from typing import Dict, Iterable, List, Optional, Union
+from dataclasses import replace
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.clock import SimClock
-from repro.core.baseline import BaselineStore
+from repro.core.baseline import BaselineStore, MachineBaseline
 from repro.core.costmodel import estimate_scan_seconds
 from repro.core.noise import NoiseFilter
 from repro.errors import (CircuitOpen, CoordinatorKilled, FleetError,
@@ -70,7 +94,8 @@ from repro.fleet.scheduler import FleetHistory, FleetScheduler, load_history
 from repro.fleet import transport
 from repro.machine import Machine
 from repro.telemetry import context as telemetry_context
-from repro.telemetry.journal_io import append_journal, iter_journal
+from repro.telemetry.journal_io import (append_journal,
+                                        append_journal_group, iter_journal)
 from repro.telemetry.metrics import global_metrics
 
 logger = logging.getLogger(__name__)
@@ -144,6 +169,11 @@ class FleetCoordinator:
         # drifted history.
         self.sampling = sampling
         self._sampled_tier: set = set()
+        # Skip verdicts per machine, memoised on the stored baseline
+        # they were rehydrated from: rehydration only reruns when a put
+        # replaces the baseline.
+        self._skip_memo: Dict[str, Tuple[MachineBaseline,
+                                         MachineVerdict]] = {}
         self.retain_epochs = max(0, int(retain_epochs))
         # The operator console's sidecar index, fed at journal-write
         # time so point lookups never replay this journal.  Optional:
@@ -187,11 +217,26 @@ class FleetCoordinator:
     # -- journal -----------------------------------------------------------------
 
     def _journal(self, record: Dict) -> None:
-        record = dict(record, at=round(self.clock.now(), 6))
-        start, end = append_journal(self.epochs_path, record)
-        self.history.note_record(record)
-        if self.index is not None:
-            self.index.note_epoch_record(record, start, end)
+        self._journal_group([dict(record)])
+
+    def _journal_group(self, records: List[Dict]) -> None:
+        """Stamp fresh ``records`` in place, append them to the epochs
+        journal in one write, and note each in the scheduler history
+        and the console index."""
+        at = round(self.clock.now(), 6)
+        for record in records:
+            record["at"] = at
+        if len(records) == 1:
+            # Same bytes as a group of one, but through the name the
+            # layer tracer wraps, so its journal.append rows still see
+            # every scan checkpoint, alert and epoch boundary.
+            ranges = [append_journal(self.epochs_path, records[0])]
+        else:
+            ranges = append_journal_group(self.epochs_path, records)
+        for record, (start, end) in zip(records, ranges):
+            self.history.note_record(record)
+            if self.index is not None:
+                self.index.note_epoch_record(record, start, end)
 
     def _journaled_verdicts(self, epoch: int) -> Dict[str, MachineVerdict]:
         """This epoch's already-recorded verdicts (the resume path)."""
@@ -216,8 +261,9 @@ class FleetCoordinator:
         """Run (or resume) one epoch to completion; returns its aggregate.
 
         ``kill_after_acks=N`` raises :class:`CoordinatorKilled` right
-        after the N-th ack of *this invocation* commits — the test
-        harness's deterministic power cord.
+        after the checkpoint that brings *this invocation's* acks to N
+        commits (the skip set is one checkpoint) — the test harness's
+        deterministic power cord.
         """
         epoch = self.next_epoch_number()
         aggregator = FleetAggregator(
@@ -327,34 +373,116 @@ class FleetCoordinator:
         return [self.run_epoch(kill_after_acks=kill_after_acks)
                 for __ in range(int(epochs))]
 
-    def _checkpoint(self, lease: Lease, verdict: MachineVerdict,
+    def _checkpoint(self,
+                    batch: Sequence[Tuple[Optional[Lease], MachineVerdict]],
                     aggregator: Optional[FleetAggregator]) -> None:
         """Steps 2 and 3 of the checkpoint, then the streaming alerts.
 
-        Journals the verdict, acks the lease, and feeds the verdict to
-        the epoch's aggregator and the cross-epoch campaign tracker,
-        journaling every alert they raise.  The one place a verdict is
-        checkpointed, for the in-process drain loop and the distributed
-        controller alike.  :class:`StaleLease` from the ack propagates:
-        late-ack bookkeeping belongs to the caller.
+        ``batch`` pairs each verdict with the lease it was scanned
+        under, or ``None`` for a machine settled without a lease (the
+        skip set).  One group write journals every verdict; then the
+        queue commits them — leased machines through
+        :meth:`WorkQueue.ack`, the rest in one :meth:`WorkQueue.
+        ack_pending` group write — and each verdict, in batch order,
+        feeds the epoch's aggregator and the cross-epoch campaign
+        tracker, journaling every alert they raise.  The one place a
+        verdict is checkpointed: the skip set, the in-process drain
+        loop and the distributed controller (a batch of one) alike.
+        :class:`StaleLease` from an ack propagates: late-ack
+        bookkeeping belongs to the caller.
         """
-        self._journal(verdict.to_dict())
-        self.queue.ack(lease, verdict=verdict.verdict,
-                       scanned=verdict.scanned,
-                       confirmed=verdict.confirmed)
-        global_metrics().incr("fleet.epoch.checkpoints")
-        if aggregator is not None:
-            for alert in aggregator.observe(verdict):
+        self._journal_group([verdict.to_dict() for __, verdict in batch])
+        unleased: Dict[str, Dict] = {}
+        for lease, verdict in batch:
+            payload = {"verdict": verdict.verdict,
+                       "scanned": verdict.scanned,
+                       "confirmed": verdict.confirmed}
+            if lease is None:
+                unleased[verdict.machine] = payload
+            else:
+                self.queue.ack(lease, **payload)
+        if unleased:
+            self.queue.ack_pending(unleased)
+        global_metrics().incr("fleet.epoch.checkpoints", len(batch))
+        for __, verdict in batch:
+            if aggregator is not None:
+                for alert in aggregator.observe(verdict):
+                    self._journal(alert.to_dict())
+                    logger.warning("%s", alert.describe())
+            for alert in self.campaigns.observe(verdict):
                 self._journal(alert.to_dict())
                 logger.warning("%s", alert.describe())
-        for alert in self.campaigns.observe(verdict):
-            self._journal(alert.to_dict())
-            logger.warning("%s", alert.describe())
+
+    def _checkpoint_skips(self, epoch: int,
+                          aggregator: FleetAggregator) -> int:
+        """Settle every pending machine whose stored verdict still holds.
+
+        The one place a skip is decided in-process: right after the
+        epoch opens (fresh or resumed), and again whenever expired
+        leases return machines to pending.  The skip set is
+        checkpointed as one batch in the order the drain loop would
+        have leased it (:meth:`WorkQueue.dispatch_order`), so an
+        all-skipped epoch feeds the aggregator exactly as a leased one
+        did; returns its size.
+        """
+        batch = []
+        for name in self.queue.dispatch_order(self.workers):
+            verdict = self._skip_verdict(name, epoch)
+            if verdict is not None:
+                batch.append((None, verdict))
+        if batch:
+            self._checkpoint(batch, aggregator)
+        return len(batch)
+
+    def _skip_verdict(self, name: str,
+                      epoch: int) -> Optional[MachineVerdict]:
+        """The stored verdict, when it still holds for ``name``."""
+        machine = self.machines.get(name)
+        baseline = self.store.get(name)
+        if (machine is None or baseline is None
+                or machine.disk.generation != baseline.disk_generation):
+            return None
+        if baseline.extra.get("sampled") and name not in self._sampled_tier:
+            # A *sampled* baseline only holds at its recorded coverage,
+            # so it never satisfies a full-tier epoch: the rotation's
+            # whole point is to periodically re-verify the strata the
+            # cheap pass skipped, churn or no churn.
+            return None
+        # Steady state: the disk has not changed since the stored
+        # verdict, so the verdict still holds — rehydrate it (and its
+        # escalation provenance) without touching the box.
+        return self._remembered_skip(baseline, epoch)
+
+    def _remembered_skip(self, baseline: MachineBaseline,
+                         epoch: int) -> MachineVerdict:
+        """:func:`skip_verdict`, memoised per machine on its baseline.
+
+        The memo holds the baseline object itself rather than its
+        ``baseline_id``: the id does not cover the escalation rider in
+        ``extra``, and every put stores a new object.
+        """
+        cached = self._skip_memo.get(baseline.machine)
+        if cached is None or cached[0] is not baseline:
+            cached = (baseline, skip_verdict(baseline, epoch))
+            self._skip_memo[baseline.machine] = cached
+        verdict = cached[1]
+        return verdict if verdict.epoch == epoch else replace(verdict,
+                                                              epoch=epoch)
 
     def _drain_epoch(self, epoch: int, aggregator: FleetAggregator,
                      kill_after_acks: Optional[int]) -> None:
         metrics = global_metrics()
         acks = 0
+
+        def committed(count: int) -> None:
+            nonlocal acks
+            acks += count
+            if (count and kill_after_acks is not None
+                    and acks >= kill_after_acks):
+                raise CoordinatorKilled(
+                    f"killed after {acks} ack(s) in epoch {epoch}")
+
+        committed(self._checkpoint_skips(epoch, aggregator))
         while not self.queue.epoch_drained():
             progressed = False
             for worker in range(self.workers):
@@ -373,7 +501,7 @@ class FleetCoordinator:
                     continue
                 verdict = self._scan_machine(epoch, lease.machine)
                 try:
-                    self._checkpoint(lease, verdict, aggregator)
+                    self._checkpoint([(lease, verdict)], aggregator)
                 except StaleLease:
                     # The lease timed out under a pathologically slow
                     # scan and someone else will redo the machine; the
@@ -387,10 +515,7 @@ class FleetCoordinator:
                     progressed = True
                     continue
                 progressed = True
-                acks += 1
-                if kill_after_acks is not None and acks >= kill_after_acks:
-                    raise CoordinatorKilled(
-                        f"killed after {acks} ack(s) in epoch {epoch}")
+                committed(1)
             if not progressed and not self.queue.epoch_drained():
                 # Every pending shard is empty but leases are still out
                 # (e.g. a test leased directly and died): ride the clock
@@ -402,6 +527,9 @@ class FleetCoordinator:
                         f"no leases, and machines unaccounted for")
                 self.clock.advance(max(0.0, deadline - self.clock.now()))
                 self.queue.expire_leases()
+                # A late-acked scan still stored its baseline, so the
+                # expired machine now rides it instead of a rescan.
+                committed(self._checkpoint_skips(epoch, aggregator))
 
     # -- per-machine scan --------------------------------------------------------
 
@@ -411,20 +539,6 @@ class FleetCoordinator:
             return MachineVerdict(machine=name, epoch=epoch,
                                   verdict="error",
                                   error="machine not in roster")
-        baseline = self.store.get(name)
-        if (baseline is not None
-                and machine.disk.generation == baseline.disk_generation
-                and (not baseline.extra.get("sampled")
-                     or name in self._sampled_tier)):
-            # Steady state: the disk has not changed since the stored
-            # verdict, so the verdict still holds — rehydrate it (and
-            # its escalation provenance) without touching the box.  A
-            # *sampled* baseline only holds at its recorded coverage,
-            # so it never satisfies a full-tier epoch: the rotation's
-            # whole point is to periodically re-verify the strata the
-            # cheap pass skipped, churn or no churn.
-            return skip_verdict(baseline, epoch)
-
         try:
             self.breaker.allow(name)
         except CircuitOpen as exc:

@@ -90,6 +90,7 @@ class WorkQueue:
         self._acked: Dict[str, dict] = {}       # machine -> ack payload
         self._token = 0
         self._recorded_at = 0.0                 # latest WAL timestamp
+        os.makedirs(directory, exist_ok=True)
         self._replay()
         self.clock = clock or SimClock(start=self._recorded_at)
         if self.clock.now() < self._recorded_at:
@@ -105,15 +106,18 @@ class WorkQueue:
     # would invalidate every byte offset the index recorded after it.
     _FSYNC_OPS = frozenset({"epoch-open", "epoch-close"})
 
-    def _append(self, record: dict) -> None:
-        record = dict(record, at=round(self.clock.now(), 6))
-        os.makedirs(self.directory, exist_ok=True)
+    def _append(self, *records: dict) -> None:
+        """Stamp and append WAL records in one write (a group commit)."""
+        at = round(self.clock.now(), 6)
+        lines = "".join(json.dumps(dict(record, at=at), sort_keys=True)
+                        + "\n" for record in records)
         with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-            if self.durable or record.get("op") in self._FSYNC_OPS:
+            handle.write(lines)
+            if self.durable or any(record.get("op") in self._FSYNC_OPS
+                                   for record in records):
                 handle.flush()
                 os.fsync(handle.fileno())
-        self._recorded_at = max(self._recorded_at, record["at"])
+        self._recorded_at = max(self._recorded_at, at)
 
     def _replay(self) -> None:
         for line in iter_journal(self.path, on_torn=self._warn_torn):
@@ -286,7 +290,7 @@ class WorkQueue:
         with self._lock:
             if self.epoch is None:
                 raise FleetError("no epoch is open")
-            picked = self._pick(worker)
+            picked = self._pick(worker, self._pending)
             if picked is None:
                 return None
             machine, shard, stolen = picked
@@ -313,21 +317,23 @@ class WorkQueue:
                 metrics.incr("fleet.queue.steals")
             return lease
 
-    def _pick(self, worker: int) -> Optional[Tuple[str, int, bool]]:
-        """(machine, shard, stolen) for the next claim, or None."""
+    def _pick(self, worker: int, pending: Dict[int, List[str]]
+              ) -> Optional[Tuple[str, int, bool]]:
+        """(machine, shard, stolen) for ``worker``'s next claim from the
+        ``pending`` shards, or None."""
         own = worker % max(1, self._shard_count())
-        queue = self._pending.get(own, [])
+        queue = pending.get(own, [])
         if queue:
             return queue[0], own, False
         # Work stealing: the deepest backlog donates its head; ties go
         # to the lowest shard id so the choice is deterministic.
         candidates = [(len(queue), -shard) for shard, queue
-                      in self._pending.items() if queue]
+                      in pending.items() if queue]
         if not candidates:
             return None
         __, negative_shard = max(candidates)
         shard = -negative_shard
-        return self._pending[shard][0], shard, True
+        return pending[shard][0], shard, True
 
     def _shard_count(self) -> int:
         return max(self._shards.values(), default=0) + 1
@@ -358,6 +364,34 @@ class WorkQueue:
             self._append(record)
             self._apply(record)
             global_metrics().incr("fleet.queue.acks")
+
+    def ack_pending(self, payloads: Dict[str, dict]) -> None:
+        """Commit never-leased pending machines in one group write.
+
+        The coordinator's epoch-open skip pass settles every machine
+        whose stored verdict still holds without leasing it; their
+        ``ack`` records carry token 0 (no lease was ever issued) and
+        otherwise the same shape :meth:`ack` writes, so replay and
+        every WAL reader treat them alike.  ``payloads`` maps machine
+        name → ack payload, in commit order.
+        """
+        with self._lock:
+            if self.epoch is None:
+                raise FleetError("no epoch is open")
+            pending = {machine for queue in self._pending.values()
+                       for machine in queue}
+            strays = [machine for machine in payloads
+                      if machine not in pending]
+            if strays:
+                raise FleetError(f"not pending in epoch {self.epoch}: "
+                                 f"{', '.join(sorted(strays))}")
+            records = [{"op": "ack", "machine": machine,
+                        "epoch": self.epoch, "token": 0, **payload}
+                       for machine, payload in payloads.items()]
+            self._append(*records)
+            for record in records:
+                self._apply(record)
+            global_metrics().incr("fleet.queue.acks", len(records))
 
     def _check_live(self, lease: Lease, action: str) -> None:
         if lease.machine in self._acked:
@@ -410,6 +444,26 @@ class WorkQueue:
             return sorted(machine for queue in self._pending.values()
                           for machine in queue)
 
+    def dispatch_order(self, workers: int) -> List[str]:
+        """Pending machines in the order :meth:`lease` would hand them
+        out to ``workers`` workers taking turns, each acking before its
+        next turn (the in-process drain loop's order).  Writes nothing.
+        """
+        with self._lock:
+            pending = {shard: list(queue)
+                       for shard, queue in self._pending.items()}
+            order: List[str] = []
+            while True:
+                claimed = len(order)
+                for worker in range(workers):
+                    picked = self._pick(worker, pending)
+                    if picked is not None:
+                        machine, shard, __ = picked
+                        pending[shard].pop(0)
+                        order.append(machine)
+                if len(order) == claimed:
+                    return order
+
     def leased_machines(self) -> Dict[str, Lease]:
         with self._lock:
             return dict(self._leases)
@@ -456,7 +510,6 @@ class WorkQueue:
                     lines.append(json.dumps(
                         {"op": "ack", "machine": machine, **payload},
                         sort_keys=True))
-            os.makedirs(self.directory, exist_ok=True)
             tmp_path = self.path + ".tmp"
             with open(tmp_path, "w", encoding="utf-8") as handle:
                 for line in lines:

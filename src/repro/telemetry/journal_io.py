@@ -32,7 +32,7 @@ import json
 import logging
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 logger = logging.getLogger(__name__)
 
@@ -144,19 +144,34 @@ def append_journal(path, record: dict) -> tuple:
     """Append one record; returns its ``(start, end)`` byte range.
 
     The standard append discipline every writer in the system uses: one
-    ``json.dumps(sort_keys=True)`` line per record, parent directory
-    created on demand.  Returning the byte range lets write-time index
-    hooks (:class:`repro.console.index.JournalIndex`) note the record's
-    location without re-reading the file.
+    ``json.dumps(sort_keys=True)`` line per record.  The parent
+    directory must already exist — writers create it once, when they
+    are constructed, not on every record.  Returning the byte range
+    lets write-time index hooks (:class:`repro.console.index.
+    JournalIndex`) note the record's location without re-reading the
+    file.
     """
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    payload = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+    return append_journal_group(path, [record])[0]
+
+
+def append_journal_group(path, records) -> List[Tuple[int, int]]:
+    """Append several records in one write (a group commit).
+
+    Same line format as :func:`append_journal`; returns each record's
+    ``(start, end)`` byte range, in order.  A writer killed mid-group
+    leaves a prefix of whole lines plus at most one torn line, which
+    every reader already skips.
+    """
+    payloads = [(json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+                for record in records]
     with open(path, "ab") as handle:
         start = handle.tell()
-        handle.write(payload)
-    return start, start + len(payload)
+        handle.write(b"".join(payloads))
+    ranges = []
+    for payload in payloads:
+        ranges.append((start, start + len(payload)))
+        start += len(payload)
+    return ranges
 
 
 def head_digest(path, length: int = 4096) -> str:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -129,6 +130,7 @@ def record_sweep(trace_path: str, profile: FleetProfile, fleet_dir: str,
               "workers": int(workers),
               "sampling": sampling.to_dict() if sampling else None,
               "fault_seed": fault_seed, "fault_rate": fault_rate}
+    os.makedirs(os.path.dirname(trace_path) or ".", exist_ok=True)
     append_journal(trace_path, header)
     body = [header]
     result = TraceResult(trace_path=trace_path, trace_digest="",

@@ -318,6 +318,88 @@ class TestCheckpointProperty:
         assert sorted(counts.values()) == (
             [1, 1, 2] if killed and kill_in_gap else [1, 1, 1])
 
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(churned=st.sets(st.integers(min_value=0, max_value=3),
+                           max_size=3),
+           kill_at=st.sampled_from(["before-skip-journal",
+                                    "skip-journal-to-ack", "after-skip-acks",
+                                    "scan-ack"]),
+           scan_ack=st.integers(min_value=1, max_value=3))
+    def test_any_kill_point_in_a_skip_epoch_resumes_identically(
+            self, tmp_path_factory, churned, kill_at, scan_ack):
+        """Epoch 2 mixes a skip set with churned machines; die before
+        the skip set's journal write, between its journal and queue
+        group writes, right after its acks, or at a scan ack."""
+        tmp_path = tmp_path_factory.mktemp("fleet-skip-prop")
+        size = 4
+        skips = size - len(churned)
+
+        def seeded(fleet_dir):
+            machines = build_fleet(size=size, infected=(1,))
+            coordinator = FleetCoordinator(fleet_dir, machines, workers=2)
+            coordinator.run_epoch()
+            for index in sorted(churned):
+                machines[index].volume.create_file(
+                    f"\\Temp\\churn-{index}.bin", b"x")
+            return coordinator, machines
+
+        reference_coordinator, __ = seeded(str(tmp_path / "ref"))
+        reference = reference_coordinator.run_epoch()
+
+        fleet_dir = str(tmp_path / "killed")
+        coordinator, machines = seeded(fleet_dir)
+        kill_after = None
+        if kill_at == "before-skip-journal":
+            real_checkpoint = coordinator._checkpoint
+
+            def dying_checkpoint(batch, aggregator):
+                if all(lease is None for lease, __ in batch):
+                    raise CoordinatorKilled("died before the skip journal")
+                return real_checkpoint(batch, aggregator)
+
+            coordinator._checkpoint = dying_checkpoint
+        elif kill_at == "skip-journal-to-ack":
+            def dying_ack_pending(payloads):
+                raise CoordinatorKilled("died between the group writes")
+
+            coordinator.queue.ack_pending = dying_ack_pending
+        elif kill_at == "after-skip-acks":
+            kill_after = skips
+        else:
+            kill_after = skips + scan_ack
+        try:
+            aggregate = coordinator.run_epoch(kill_after_acks=kill_after)
+            killed = False
+        except CoordinatorKilled:
+            killed = True
+        if killed:
+            # The kill landed exactly at its boundary: the skip set's
+            # acks commit together, and a kill inside its checkpoint
+            # acks none of them.
+            assert fleet_status(fleet_dir)["acked"] == (
+                0 if kill_after is None else max(1, kill_after))
+            resumed = FleetCoordinator(fleet_dir, machines, workers=2)
+            acked_at_close = []
+            real_finish = resumed._finish_epoch
+
+            def finish(aggregator):
+                acked_at_close.append(fleet_status(fleet_dir)["acked"])
+                return real_finish(aggregator)
+
+            resumed._finish_epoch = finish
+            aggregate = resumed.run_epoch()
+            assert acked_at_close == [size]
+        # (Not killed: the kill point lay past the epoch's last ack.)
+        assert verdict_key(aggregate) == verdict_key(reference)
+        counts = Counter(record["machine"]
+                         for record in machine_records(fleet_dir, epoch=2))
+        assert len(counts) == size
+        assert max(counts.values()) <= 2
+        if killed and kill_at == "skip-journal-to-ack" and skips:
+            assert sorted(counts.values()) == sorted(
+                [2] * skips + [1] * (size - skips))
+
 
 class TestChaosInterplay:
     def test_epoch_completes_under_lease_faults(self, tmp_path):
@@ -458,9 +540,9 @@ class TestLeaseRecoveryEdgeCases:
         checkpoints = []
         shared = FleetCoordinator._checkpoint
 
-        def counting(coordinator, lease, verdict, aggregator):
-            checkpoints.append(verdict.machine)
-            return shared(coordinator, lease, verdict, aggregator)
+        def counting(coordinator, batch, aggregator):
+            checkpoints.extend(verdict.machine for __, verdict in batch)
+            return shared(coordinator, batch, aggregator)
 
         monkeypatch.setattr(FleetCoordinator, "_checkpoint", counting)
         fleet_dir = str(tmp_path / "gap")
@@ -526,6 +608,199 @@ class TestLeaseRecoveryEdgeCases:
             workers=1, queue_durable=True)
         coordinator.run_epoch()
         assert counts["n"] >= per_op
+
+
+class TestSkipSetCheckpoint:
+    """The in-process skip set: one batch, no leases, hand-written
+    records that match the dataclass."""
+
+    def test_verdict_to_dict_matches_asdict_and_round_trips(self):
+        from dataclasses import MISSING, asdict, fields
+
+        from repro.fleet.aggregator import MachineVerdict
+
+        verdict = MachineVerdict(
+            machine="m07", epoch=9, verdict="infected", findings=3,
+            noise=2, scanned=True, skipped=True, escalated=True,
+            confirmed=True, confirmed_by="winpe",
+            baseline_id="m07@g4-0123456789ab", scan_seconds=1.25,
+            error="TransientIoError: boom", finding_ids=["file:a", "b"],
+            mass_hiding=True, sampled=True, coverage=0.375,
+            sampling_escalated=True,
+            campaign_fingerprints=["file:\\windows\\*.exe"])
+        # Every field differs from its default, so a field added later
+        # without a to_dict key fails here rather than vanishing from
+        # the journal.
+        for spec in fields(verdict):
+            default = (spec.default_factory()
+                       if spec.default_factory is not MISSING
+                       else spec.default)
+            assert getattr(verdict, spec.name) != default, spec.name
+        record = verdict.to_dict()
+        expected = asdict(verdict) | {"type": "fleet-machine"}
+        assert list(record.items()) == list(expected.items())
+        assert MachineVerdict.from_dict(record) == verdict
+        # Value semantics: the record's lists are copies.
+        record["finding_ids"].append("mutated")
+        assert verdict.finding_ids == ["file:a", "b"]
+
+    def test_all_skipped_epoch_group_commits_without_leases(
+            self, tmp_path, monkeypatch):
+        import shutil
+
+        import repro.fleet.coordinator as coordinator_mod
+        from repro.console import JournalIndex
+
+        fleet_dir = str(tmp_path / "fleet")
+        machines = build_fleet(size=4, infected=(1,))
+        coordinator = FleetCoordinator(fleet_dir, machines, workers=2)
+        coordinator.run_epoch()
+
+        journal_groups, wal_writes = [], []
+        real_group = coordinator_mod.append_journal_group
+        real_append = coordinator.queue._append
+
+        def group(path, records):
+            journal_groups.append([record["type"] for record in records])
+            return real_group(path, records)
+
+        def append(*records):
+            wal_writes.append([record["op"] for record in records])
+            return real_append(*records)
+
+        monkeypatch.setattr(coordinator_mod, "append_journal_group", group)
+        coordinator.queue._append = append
+        second = coordinator.run_epoch()
+
+        assert second.summary.skipped == 4
+        assert journal_groups == [["fleet-machine"] * 4]
+        assert wal_writes == [["epoch-open"], ["ack"] * 4, ["epoch-close"]]
+        with open(coordinator.queue.path, encoding="utf-8") as handle:
+            ops = [json.loads(line)["op"] for line in handle]
+        assert ops.count("lease") == 4          # epoch 1's scans only
+        # The write-time index answers exactly what an index rebuilt
+        # from the journals answers.
+        rebuilt_dir = str(tmp_path / "rebuilt")
+        shutil.copytree(fleet_dir, rebuilt_dir,
+                        ignore=shutil.ignore_patterns("index"))
+        live, rebuilt = coordinator.index, JournalIndex(rebuilt_dir)
+        live.update()
+        rebuilt.rebuild()
+        for name in sorted(coordinator.machines):
+            history = live.machine_history(name)
+            assert [entry["epoch"] for entry in history] == [1, 2]
+            assert history == rebuilt.machine_history(name)
+        for query in ({}, {"verdict": "infected"}, {"epoch_min": 2},
+                      {"verdict": "clean", "epoch_min": 2}):
+            assert live.query(**query) == rebuilt.query(**query)
+        assert live.epoch_summaries() == rebuilt.epoch_summaries()
+        assert fleet_status(fleet_dir)["epochs_completed"] == 2
+
+    def test_all_skipped_epoch_alerts_the_leased_epochs_first_k(
+            self, tmp_path):
+        # Eight carriers, threshold 3, three shards: the first three
+        # carriers in lease order (m01, m02, m04) differ from the first
+        # three in roster order (m01, m02, m03).  The skip set must be
+        # observed in lease order so the all-skipped epoch 2 alerts on
+        # the same machines as the scanned epoch 1.
+        fleet_dir = str(tmp_path)
+        coordinator = FleetCoordinator(
+            fleet_dir, build_fleet(size=9, infected=range(1, 9)),
+            workers=3, outbreak_threshold=3)
+        coordinator.run(2)
+
+        members = {1: set(), 2: set()}
+        with open(f"{fleet_dir}/epochs.jsonl", encoding="utf-8") as handle:
+            for line in handle:
+                record = json.loads(line)
+                if record["type"] == "fleet-outbreak":
+                    members[record["epoch"]].add(tuple(record["machines"]))
+        assert members == {1: {("m01", "m02", "m04")},
+                           2: {("m01", "m02", "m04")}}
+
+    def test_skip_verdicts_rehydrate_only_when_a_baseline_changes(
+            self, tmp_path, monkeypatch):
+        import repro.fleet.coordinator as coordinator_mod
+
+        machines = build_fleet(size=3, infected=(1,))
+        coordinator = FleetCoordinator(str(tmp_path), machines, workers=2)
+        coordinator.run_epoch()
+        rehydrated = []
+        real_skip = coordinator_mod.skip_verdict
+
+        def counting(baseline, epoch):
+            rehydrated.append(baseline.machine)
+            return real_skip(baseline, epoch)
+
+        monkeypatch.setattr(coordinator_mod, "skip_verdict", counting)
+        coordinator.run_epoch()
+        assert sorted(rehydrated) == ["m00", "m01", "m02"]
+        third = coordinator.run_epoch()
+        assert sorted(rehydrated) == ["m00", "m01", "m02"]
+        assert {v.epoch for v in third.verdicts} == {3}
+        assert verdict_key(third) == {
+            machine: (verdict.verdict, verdict.findings, verdict.confirmed,
+                      verdict.confirmed_by)
+            for machine, verdict in coordinator._journaled_verdicts(
+                2).items()}
+        machines[2].volume.create_file("\\Temp\\new.txt", b"payload")
+        coordinator.run_epoch()        # m02 rescans: a new baseline
+        coordinator.run_epoch()
+        assert sorted(rehydrated) == ["m00", "m01", "m02", "m02"]
+
+    def test_sampled_baseline_skips_only_in_the_sample_tier(self, tmp_path):
+        from repro.workloads.sampling import (TIER_FULL, TIER_SAMPLE,
+                                              SamplingPolicy)
+
+        class ForcedTiers(SamplingPolicy):
+            """Sample tier for epochs 1-2, full tier from epoch 3."""
+
+            def assign(self, plan, epoch):
+                tier = TIER_SAMPLE if epoch < 3 else TIER_FULL
+                return {entry.machine: tier for entry in plan}
+
+        coordinator = FleetCoordinator(
+            str(tmp_path), build_fleet(size=2, infected=()), workers=1,
+            sampling=ForcedTiers(seed=1, file_rate=0.5))
+        first = coordinator.run_epoch()
+        assert all(v.sampled and v.scanned for v in first.verdicts)
+        # A sampled baseline holds for another sample-tier epoch...
+        assert coordinator.run_epoch().summary.skipped == 2
+        # ...but never satisfies a full-tier one, churn or no churn.
+        third = coordinator.run_epoch()
+        assert third.summary.scanned == 2
+        assert not any(v.sampled for v in third.verdicts)
+
+    def test_controller_lease_ok_carries_the_skip_payload(self, tmp_path):
+        from repro.fleet.aggregator import FleetAggregator
+        from repro.fleet.controller import AgentSession, ScanController
+        from repro.fleet.scanwork import skip_verdict
+
+        machines = build_fleet(size=2, infected=(1,))
+        coordinator = FleetCoordinator(str(tmp_path), machines, workers=1)
+        coordinator.run_epoch()
+        controller = ScanController(coordinator, secret="s")
+        epoch = coordinator.next_epoch_number()
+        aggregator = FleetAggregator(epoch)
+        coordinator._open_or_resume(epoch, aggregator)
+        controller.begin_epoch(epoch, aggregator)
+        session = AgentSession("agent-0", 0, now=0.0)
+        for __ in range(2):
+            reply = controller._handle_lease(session)
+            assert sorted(reply) == ["baseline", "lease", "op"]
+            assert reply["op"] == "lease-ok"
+            lease = reply["lease"]
+            assert sorted(lease) == ["epoch", "expires_at", "machine",
+                                     "shard", "token", "worker"]
+            baseline = coordinator.store.get(lease["machine"])
+            assert reply["baseline"] == {
+                "disk_generation": baseline.disk_generation,
+                "verdict": skip_verdict(baseline, epoch).to_dict()}
+            assert reply["baseline"]["verdict"]["epoch"] == epoch
+            assert reply["baseline"]["verdict"]["skipped"] is True
+        # Distributed mode leases every machine: no skip set is acked
+        # at epoch open, the agents decide the skips.
+        assert coordinator.queue.acked_machines() == {}
 
 
 class TestInMemoryHistory:

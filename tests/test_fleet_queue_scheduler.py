@@ -126,6 +126,28 @@ class TestWorkQueue:
         assert stolen.machine == "b0" and stolen.stolen
         assert stolen.shard == 1
 
+    def test_dispatch_order_matches_turn_taking_leases(self, tmp_path):
+        # Uneven shards, so the order needs both own-shard turns and
+        # steals; dispatch_order must predict lease() without writing.
+        assignments = {"a0": 0, "b0": 1, "b1": 1, "b2": 1, "b3": 1,
+                       "c0": 2, "c1": 2}
+        queue = WorkQueue(str(tmp_path))
+        queue.open_epoch(1, assignments)
+        with open(queue.path, encoding="utf-8") as handle:
+            wal = handle.read()
+        predicted = queue.dispatch_order(workers=3)
+        with open(queue.path, encoding="utf-8") as handle:
+            assert handle.read() == wal
+        leased = []
+        while not queue.epoch_drained():
+            for worker in range(3):
+                lease = queue.lease(worker)
+                if lease is not None:
+                    leased.append(lease.machine)
+                    queue.ack(lease, verdict="clean")
+        assert predicted == leased
+        assert sorted(leased) == sorted(assignments)
+
     def test_compact_preserves_mid_epoch_state(self, tmp_path):
         queue = open_queue(tmp_path, ["a", "b", "c"])
         queue.ack(queue.lease(worker=0), verdict="clean")
