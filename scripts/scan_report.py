@@ -5,7 +5,7 @@ Usage::
 
     PYTHONPATH=src python scripts/scan_report.py FLEET_DIR/epochs.jsonl
     PYTHONPATH=src python scripts/scan_report.py --demo [--out FILE]
-    PYTHONPATH=src python scripts/scan_report.py BENCH_PR10.json
+    PYTHONPATH=src python scripts/scan_report.py BENCH.json
 
 The journal is the one :class:`repro.fleet.FleetCoordinator` writes
 (``epoch-start``, ``fleet-machine``, ``fleet-outbreak``,
@@ -16,9 +16,9 @@ provenance, outbreak alerts, and the cross-epoch campaign timeline.
 ``--demo`` runs two epochs over a small fleet (one infected client, one
 client changed between the epochs, so the second epoch shows both the
 baseline skip and the rescan), copies the journal to ``--out`` and
-renders it.  A ``BENCH_PR10.json`` (full bench or ``--stealth-campaign``
-artifact) is also accepted and rendered as the per-stealth-level
-detection columns (docs/adversary.md).
+renders it.  A bench JSON (``scripts/bench.py [stealth_campaign] --out
+FILE``, or an archived ``BENCH_PR10.json``) is also accepted and
+rendered as the per-stealth-level detection columns (docs/adversary.md).
 """
 
 from __future__ import annotations
@@ -143,10 +143,11 @@ def render_fleet(records: dict) -> str:
 
 
 def render_stealth_curve(payload: dict) -> str:
-    """Per-stealth-level detection columns from a ``BENCH_PR10.json``.
+    """Per-stealth-level detection columns from a bench JSON.
 
-    Accepts either a full bench result or a ``--stealth-campaign``
-    artifact; both carry the curve under ``stealth_campaign``.
+    ``scripts/bench.py --out`` files carry the curve under
+    ``timings.stealth_campaign``; archived files up to ``BENCH_PR10.json``
+    carry it at the top level.
     """
     stealth = payload.get("stealth_campaign") or payload.get(
         "timings", {}).get("stealth_campaign")
