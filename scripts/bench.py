@@ -78,7 +78,11 @@ The default suite, in run order:
     determinism across reruns and disk backends;
 19. ``chaos`` — one coordinator epoch fault-free and then under a 5%
     deterministic fault plan — gated on unchanged recall, no error
-    verdicts, no quarantines, and faults actually fired.
+    verdicts, no quarantines, and faults actually fired;
+20. ``win32_walk`` — the hooked ``FindFirstFile``/``FindNextFile`` walk
+    of each corpus strain's machine, first with cold Win32-view caches
+    and then warm, in µs per enumerated entry — gated on identical
+    entries and interception-audit records across cold and warm walks.
 
 Cases outside the default suite run only when named:
 
@@ -686,6 +690,17 @@ def bench_fleet_epoch(fleet_size: int, workers: int) -> dict:
     }
 
 
+def strain_corpus() -> tuple:
+    """The twelve corpus strains, in the order the bench installs them."""
+    from repro.ghostware import (AdsGhost, Aphex, Berbew, CmCallbackGhost,
+                                 FuRootkit, Mersting, NamingExploitGhost,
+                                 ProBotSE, RegistryNamingGhost, Urbin,
+                                 Vanquish)
+    return (HackerDefender, Urbin, Mersting, Vanquish, Aphex, ProBotSE,
+            Berbew, NamingExploitGhost, RegistryNamingGhost,
+            CmCallbackGhost, AdsGhost, FuRootkit)
+
+
 def bench_fleet_escalation(strains: int) -> dict:
     """Escalation precision over the twelve-strain corpus.
 
@@ -696,15 +711,10 @@ def bench_fleet_escalation(strains: int) -> dict:
     tier is reserved for real suspects).
     """
     from repro.fleet import EscalationPolicy
-    from repro.ghostware import (AdsGhost, Aphex, Berbew, CmCallbackGhost,
-                                 FuRootkit, Mersting, NamingExploitGhost,
-                                 ProBotSE, RegistryNamingGhost, Urbin,
-                                 Vanquish)
+    from repro.ghostware import FuRootkit
 
     clean_controls = 4
-    corpus = (HackerDefender, Urbin, Mersting, Vanquish, Aphex, ProBotSE,
-              Berbew, NamingExploitGhost, RegistryNamingGhost,
-              CmCallbackGhost, AdsGhost, FuRootkit)[:max(1, strains)]
+    corpus = strain_corpus()[:max(1, strains)]
     golden = golden_machine()
     fleet = cloned_fleet(golden, len(corpus) + clean_controls, infected=())
     infected_names = []
@@ -744,6 +754,55 @@ def bench_fleet_escalation(strains: int) -> dict:
         "recall": len(true_escalations) / len(infected_names),
         "confirmed_by_provenance_ok": provenance_ok,
         "summary": aggregate.summary.to_dict(),
+    }
+
+
+def bench_win32_walk(strains: int, walks: int) -> dict:
+    """Cold vs warm Win32 file walks over the corpus, stealth level off.
+
+    Each strain goes onto its own fresh clone of the 120-file golden
+    image, so its first walk meets empty Win32-view caches: no cached
+    listing or path on the freshly mounted volume, no resolved API
+    dispatch and no name verdicts in the new scanner process.  ``walks``
+    warm walks follow.  Every walk is audited, and each warm walk must
+    return the cold walk's entries and interception records.
+    """
+    from repro.core.scanners.files import (ensure_scanner_process,
+                                           high_level_file_scan)
+    from repro.telemetry import Telemetry
+    from repro.telemetry.audit import AuditLog
+
+    golden = golden_machine()
+    corpus = strain_corpus()[:max(1, strains)]
+    entries = 0
+    cold_s = 0.0
+    warm_s = [0.0] * walks
+    identical = True
+    for ghost_cls in corpus:
+        machine = clone_fleet(golden, 1, max_records=8192)[0]
+        ghost_cls().install(machine)
+        ensure_scanner_process(machine)   # process start is not the walk
+        runs = []
+        for __ in range(walks + 1):
+            telemetry = Telemetry(audit=AuditLog())
+            started = time.perf_counter()
+            with telemetry.activate():
+                snapshot = high_level_file_scan(machine)
+            runs.append((time.perf_counter() - started,
+                         (snapshot.entries, telemetry.audit.aggregate())))
+        (cold, reference), warm = runs[0], runs[1:]
+        entries += len(reference[0])
+        cold_s += cold
+        for index, (elapsed, result) in enumerate(warm):
+            warm_s[index] += elapsed
+            identical = identical and result == reference
+    return {
+        "strains": len(corpus),
+        "walks": walks,
+        "entries": entries,
+        "cold_us_per_entry": cold_s / entries * 1e6,
+        "warm_us_per_entry": statistics.median(warm_s) / entries * 1e6,
+        "identical": identical,
     }
 
 
@@ -1843,6 +1902,15 @@ CASES = {case.name: case for case in (
                  lambda r: not r["quarantined"]),
                 ("chaos sweep faults actually fired",
                  lambda r: r["faults_fired"] > 0))),
+    Case("win32_walk", bench_win32_walk,
+         dict(strains=4, walks=2), dict(strains=12, walks=5),
+         lambda r, s: f"Win32 walk ({r['strains']} strains, {r['entries']} "
+                      f"entries per round): cold "
+                      f"{r['cold_us_per_entry']:.1f} us/entry, warm "
+                      f"{r['warm_us_per_entry']:.1f} us/entry (median of "
+                      f"{r['walks']})",
+         gates=(("Win32 walk identical across cold and warm caches",
+                 lambda r: r["identical"]),)),
     Case("fleet_soak", bench_fleet_soak, {}, {},
          lambda r, s: "\n".join(_soak_lines(r) + [
              f"soak: {r['faults_fired']} fault(s) fired across "

@@ -94,26 +94,25 @@ def high_level_file_scan(machine: Machine,
         faults_context.maybe_inject(SITE_WINAPI_ENUM, clock=machine.clock,
                                     scope=machine.name)
         handle, stat = scanner.call("kernel32", "FindFirstFile", directory)
-        if order_rng is None:
+        subdirs: List[str] = []
+        # A fault in a nested walk must not strand this handle: the
+        # scanner process lives until reboot.
+        try:
             while stat is not None:
                 entries.append(FileEntry(stat.path, stat.name,
                                          stat.is_directory, stat.size))
                 if stat.is_directory:
-                    walk(stat.path)
+                    if order_rng is None:
+                        walk(stat.path)
+                    else:
+                        subdirs.append(stat.path)
                 stat = scanner.call("kernel32", "FindNextFile", handle)
+        finally:
             scanner.call("kernel32", "FindClose", handle)
-            return
-        subdirs: List[str] = []
-        while stat is not None:
-            entries.append(FileEntry(stat.path, stat.name,
-                                     stat.is_directory, stat.size))
-            if stat.is_directory:
-                subdirs.append(stat.path)
-            stat = scanner.call("kernel32", "FindNextFile", handle)
-        scanner.call("kernel32", "FindClose", handle)
-        order_rng.shuffle(subdirs)
-        for path in subdirs:
-            walk(path)
+        if order_rng is not None:
+            order_rng.shuffle(subdirs)
+            for path in subdirs:
+                walk(path)
 
     def run() -> None:
         # The walk is idempotent, so recovery re-runs it whole rather

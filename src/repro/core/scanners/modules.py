@@ -44,23 +44,28 @@ def high_level_module_scan(machine: Machine,
         entries.clear()
         scanned_pids.clear()
         toolhelp = scanner.call("kernel32", "CreateToolhelp32Snapshot")
-        info = scanner.call("kernel32", "Process32First", toolhelp)
-        while info is not None:
-            scanned_pids.add(info.pid)
-            faults_context.maybe_inject(SITE_WINAPI_ENUM,
-                                        clock=machine.clock,
-                                        scope=machine.name)
-            if info.pid != 4:   # System has no user modules
-                module_snapshot = scanner.call("kernel32",
-                                               "Module32Snapshot",
-                                               info.pid)
-                path = scanner.call("kernel32", "Module32First",
-                                    module_snapshot)
-                while path is not None:
-                    entries.append(ModuleEntry(info.pid, info.name, path))
-                    path = scanner.call("kernel32", "Module32Next",
+        try:
+            info = scanner.call("kernel32", "Process32First", toolhelp)
+            while info is not None:
+                scanned_pids.add(info.pid)
+                faults_context.maybe_inject(SITE_WINAPI_ENUM,
+                                            clock=machine.clock,
+                                            scope=machine.name)
+                if info.pid != 4:   # System has no user modules
+                    module_snapshot = scanner.call("kernel32",
+                                                   "Module32Snapshot",
+                                                   info.pid)
+                    path = scanner.call("kernel32", "Module32First",
                                         module_snapshot)
-            info = scanner.call("kernel32", "Process32Next", toolhelp)
+                    while path is not None:
+                        entries.append(ModuleEntry(info.pid, info.name,
+                                                   path))
+                        path = scanner.call("kernel32", "Module32Next",
+                                            module_snapshot)
+                    scanner.call("kernel32", "CloseHandle", module_snapshot)
+                info = scanner.call("kernel32", "Process32Next", toolhelp)
+        finally:
+            scanner.call("kernel32", "CloseHandle", toolhelp)
 
     with telemetry_context.current_tracer().span(
             "scan.modules.high-level", clock=machine.clock,

@@ -46,10 +46,13 @@ def high_level_process_scan(machine: Machine,
         faults_context.maybe_inject(SITE_WINAPI_ENUM, clock=machine.clock,
                                     scope=machine.name)
         snapshot = scanner.call("kernel32", "CreateToolhelp32Snapshot")
-        info = scanner.call("kernel32", "Process32First", snapshot)
-        while info is not None:
-            entries.append(ProcessEntry(info.pid, info.name))
-            info = scanner.call("kernel32", "Process32Next", snapshot)
+        try:
+            info = scanner.call("kernel32", "Process32First", snapshot)
+            while info is not None:
+                entries.append(ProcessEntry(info.pid, info.name))
+                info = scanner.call("kernel32", "Process32Next", snapshot)
+        finally:
+            scanner.call("kernel32", "CloseHandle", snapshot)
 
     with telemetry_context.current_tracer().span(
             "scan.processes.high-level", clock=machine.clock,

@@ -36,8 +36,9 @@ import json
 import logging
 import os
 import threading
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.clock import SimClock
 from repro.errors import FleetError, StaleLease
@@ -64,6 +65,58 @@ class Lease:
     stolen: bool = False
 
 
+class _Shard:
+    """One shard's pending machines in FIFO order.
+
+    Push, drop and head are O(1) (head amortised): ``_live`` maps each
+    pending machine to the ticket of its current slot, and iterates in
+    queue order; ``_slots`` holds the slots in push order, and a slot
+    whose machine was dropped (or re-pushed under a newer ticket) is
+    discarded when it reaches the front.
+    """
+
+    __slots__ = ("_live", "_slots", "_tickets")
+
+    def __init__(self) -> None:
+        self._live: Dict[str, int] = {}
+        self._slots: Deque[Tuple[int, str]] = deque()
+        self._tickets = 0
+
+    def push(self, machine: str) -> None:
+        if machine not in self._live:
+            self._tickets += 1
+            self._live[machine] = self._tickets
+            self._slots.append((self._tickets, machine))
+
+    def drop(self, machine: str) -> None:
+        self._live.pop(machine, None)
+
+    def head(self) -> Optional[str]:
+        slots, live = self._slots, self._live
+        while slots:
+            ticket, machine = slots[0]
+            if live.get(machine) == ticket:
+                return machine
+            slots.popleft()
+        return None
+
+    def copy(self) -> "_Shard":
+        clone = _Shard()
+        clone._live = dict(self._live)
+        clone._slots = deque(self._slots)
+        clone._tickets = self._tickets
+        return clone
+
+    def __contains__(self, machine: str) -> bool:
+        return machine in self._live
+
+    def __len__(self) -> int:
+        return len(self._live)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._live)
+
+
 class WorkQueue:
     """Durable machine queue for one fleet directory.
 
@@ -85,7 +138,8 @@ class WorkQueue:
         self.epoch: Optional[int] = None        # currently open epoch
         self._machines: List[str] = []          # epoch roster, queue order
         self._shards: Dict[str, int] = {}
-        self._pending: Dict[int, List[str]] = {}
+        self._shard_count = 1                   # max shard id + 1
+        self._pending: Dict[int, _Shard] = {}
         self._leases: Dict[str, Lease] = {}     # machine -> live lease
         self._acked: Dict[str, dict] = {}       # machine -> ack payload
         self._token = 0
@@ -143,10 +197,10 @@ class WorkQueue:
             self._machines = list(record["machines"])
             self._shards = {name: int(shard) for name, shard
                             in record["shards"].items()}
+            self._shard_count = max(self._shards.values(), default=0) + 1
             self._pending = {}
             for name in self._machines:
-                shard = self._shards.get(name, 0)
-                self._pending.setdefault(shard, []).append(name)
+                self._push_pending(name)
             self._leases = {}
             self._acked = {}
         elif op == "lease":
@@ -184,6 +238,7 @@ class WorkQueue:
             self.epoch = None
             self._machines = []
             self._shards = {}
+            self._shard_count = 1
             self._pending = {}
             self._leases = {}
             self._acked = {}
@@ -191,16 +246,16 @@ class WorkQueue:
         # brick an older reader (same stance as the telemetry loader).
 
     def _drop_pending(self, machine: str) -> None:
-        shard = self._shards.get(machine, 0)
-        queue = self._pending.get(shard, [])
-        if machine in queue:
-            queue.remove(machine)
+        queue = self._pending.get(self._shards.get(machine, 0))
+        if queue is not None:
+            queue.drop(machine)
 
     def _push_pending(self, machine: str) -> None:
         shard = self._shards.get(machine, 0)
-        queue = self._pending.setdefault(shard, [])
-        if machine not in queue:
-            queue.append(machine)
+        queue = self._pending.get(shard)
+        if queue is None:
+            queue = self._pending[shard] = _Shard()
+        queue.push(machine)
 
     # -- epoch lifecycle ---------------------------------------------------------
 
@@ -317,14 +372,14 @@ class WorkQueue:
                 metrics.incr("fleet.queue.steals")
             return lease
 
-    def _pick(self, worker: int, pending: Dict[int, List[str]]
+    def _pick(self, worker: int, pending: Dict[int, _Shard]
               ) -> Optional[Tuple[str, int, bool]]:
         """(machine, shard, stolen) for ``worker``'s next claim from the
         ``pending`` shards, or None."""
-        own = worker % max(1, self._shard_count())
-        queue = pending.get(own, [])
+        own = worker % self._shard_count
+        queue = pending.get(own)
         if queue:
-            return queue[0], own, False
+            return queue.head(), own, False
         # Work stealing: the deepest backlog donates its head; ties go
         # to the lowest shard id so the choice is deterministic.
         candidates = [(len(queue), -shard) for shard, queue
@@ -333,10 +388,7 @@ class WorkQueue:
             return None
         __, negative_shard = max(candidates)
         shard = -negative_shard
-        return pending[shard][0], shard, True
-
-    def _shard_count(self) -> int:
-        return max(self._shards.values(), default=0) + 1
+        return pending[shard].head(), shard, True
 
     def renew(self, lease: Lease) -> Lease:
         """Heartbeat: push a live lease's expiry out by ``lease_seconds``."""
@@ -378,10 +430,9 @@ class WorkQueue:
         with self._lock:
             if self.epoch is None:
                 raise FleetError("no epoch is open")
-            pending = {machine for queue in self._pending.values()
-                       for machine in queue}
             strays = [machine for machine in payloads
-                      if machine not in pending]
+                      if machine not in self._pending.get(
+                          self._shards.get(machine, 0), ())]
             if strays:
                 raise FleetError(f"not pending in epoch {self.epoch}: "
                                  f"{', '.join(sorted(strays))}")
@@ -450,7 +501,7 @@ class WorkQueue:
         next turn (the in-process drain loop's order).  Writes nothing.
         """
         with self._lock:
-            pending = {shard: list(queue)
+            pending = {shard: queue.copy()
                        for shard, queue in self._pending.items()}
             order: List[str] = []
             while True:
@@ -459,7 +510,7 @@ class WorkQueue:
                     picked = self._pick(worker, pending)
                     if picked is not None:
                         machine, shard, __ = picked
-                        pending[shard].pop(0)
+                        pending[shard].drop(machine)
                         order.append(machine)
                 if len(order) == claimed:
                     return order

@@ -13,6 +13,7 @@ case-insensitive for lookup and case-preserving for storage, as on NTFS.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, List, Tuple
 
 from repro.errors import InvalidWin32Name
@@ -29,6 +30,10 @@ RESERVED_DEVICE_NAMES = frozenset(
 INVALID_WIN32_CHARS = frozenset('<>:"/|?*' + "".join(chr(c) for c in range(32)))
 
 SEPARATOR = "\\"
+
+# One search finds any Win32-invalid character (the separator included)
+# or a trailing dot or space — which also covers "." and "..".
+_WIN32_REJECT = re.compile(r'[<>:"/|?*\\\x00-\x1f]|[. ]\Z')
 
 
 # --- path algebra -------------------------------------------------------------
@@ -99,8 +104,14 @@ def win32_component_violations(name: str) -> List[str]:
 
 
 def is_valid_win32_component(name: str) -> bool:
-    """True when the Win32 layer would accept ``name`` as a path component."""
-    return not win32_component_violations(name)
+    """True when the Win32 layer would accept ``name`` as a path component.
+
+    The same verdict as ``not win32_component_violations(name)`` without
+    building the messages: every enumerated entry passes through here.
+    """
+    if not name or len(name) > MAX_COMPONENT or _WIN32_REJECT.search(name):
+        return False
+    return component_base(name) not in RESERVED_DEVICE_NAMES
 
 
 def validate_win32_component(name: str) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.clock import SimClock
 from repro.disk import Disk
@@ -69,6 +69,14 @@ class NtfsVolume:
         self._records: Dict[int, MftRecord] = {}
         self._children: Dict[int, DirectoryIndex] = {}
         self._parents: Dict[int, int] = {}
+        # directory record -> (path it was listed under, its entries).
+        # Dropped at the volume's own mutation points (see _flush); raw
+        # disk writes never reach the in-memory records it is built from.
+        self._listings: Dict[int, Tuple[str, Tuple[FileStat, ...]]] = {}
+        # path as spelled -> record, for paths that resolved.  A create
+        # never changes where an existing path leads; a rename or an
+        # unlink can, so each of those drops the whole map.
+        self._resolved: Dict[str, int] = {}
         self._free_records: List[int] = []
         self._next_record = c.FIRST_USER_RECORD
         self._free_clusters: List[int] = []
@@ -275,6 +283,8 @@ class NtfsVolume:
         old_parent_no = self._parents[record_no]
         assert record.file_name is not None
         self._children[old_parent_no].remove(record.file_name.name)
+        self._listings.pop(old_parent_no, None)
+        self._resolved.clear()
         namespace = (c.NAMESPACE_WIN32
                      if naming.is_valid_win32_component(new_name)
                      else c.NAMESPACE_POSIX)
@@ -317,19 +327,27 @@ class NtfsVolume:
         self._flush(record)
 
     def list_directory(self, path: str) -> List[FileStat]:
-        """Entries of one directory, in collation order."""
+        """Entries of one directory, in collation order.
+
+        Each call returns a new list (filter drivers edit it in place);
+        the frozen :class:`FileStat` entries are shared between calls
+        until a mutation under the directory drops its cached listing.
+        """
         record_no = self._resolve(path)
         if record_no is None:
             raise FileNotFound(path)
+        cached = self._listings.get(record_no)
+        if cached is not None and cached[0] == path:
+            return list(cached[1])
         record = self._records[record_no]
         if not record.is_directory:
             raise NotADirectory(path)
         base = path if path != "\\" else ""
-        out = []
-        for name, child_no in self._children[record_no].entries():
-            out.append(self._stat_of(self._records[child_no],
-                                     f"{base}\\{name}"))
-        return out
+        entries = tuple(
+            self._stat_of(self._records[child_no], f"{base}\\{name}")
+            for name, child_no in self._children[record_no].entries())
+        self._listings[record_no] = (path, entries)
+        return list(entries)
 
     def walk(self, start: str = "\\") -> Iterator[FileStat]:
         """Depth-first traversal of every entry below ``start``."""
@@ -452,6 +470,7 @@ class NtfsVolume:
         self._install_record(record)
         self._children[parent_no].add(name, record_no)
         self._parents[record_no] = parent_no
+        self._listings.pop(parent_no, None)
         if directory:
             self._children[record_no] = DirectoryIndex()
         return self._stat_of(record, path)
@@ -462,6 +481,9 @@ class NtfsVolume:
         assert record.file_name is not None
         self._children[parent_no].remove(record.file_name.name)
         self._children.pop(record_no, None)
+        self._listings.pop(parent_no, None)
+        self._listings.pop(record_no, None)
+        self._resolved.clear()
         self._free_data(record)
         record.flags &= ~c.FLAG_IN_USE
         record.sequence += 1
@@ -567,13 +589,19 @@ class NtfsVolume:
         self._flush(record)
 
     def _flush(self, record: MftRecord) -> None:
+        # Every record change is flushed, and the record's FileStat sits
+        # in its parent's cached listing.  _create and _unlink flush
+        # while the record has no parent link, so they drop it themselves.
+        self._listings.pop(self._parents.get(record.record_no), None)
         offset = self.mft_offset + record.record_no * c.MFT_RECORD_SIZE
         self.disk.write_bytes(offset, record.to_bytes())
 
     def _resolve(self, path: str) -> Optional[int]:
-        components = naming.split_path(path)
+        current = self._resolved.get(path)
+        if current is not None:
+            return current
         current = c.RECORD_ROOT
-        for component in components:
+        for component in naming.split_path(path):
             index = self._children.get(current)
             if index is None:
                 return None
@@ -581,6 +609,7 @@ class NtfsVolume:
             if child is None:
                 return None
             current = child
+        self._resolved[path] = current
         return current
 
     def _require_file(self, path: str) -> MftRecord:

@@ -54,9 +54,11 @@ def ask_strider(machine: Machine,
                 modules.append(path)
                 path = viewer.call("kernel32", "Module32Next",
                                    module_snapshot)
+            viewer.call("kernel32", "CloseHandle", module_snapshot)
             report.modules_by_process[f"{info.name} (pid {info.pid})"] = \
                 modules
         info = viewer.call("kernel32", "Process32Next", snapshot)
+    viewer.call("kernel32", "CloseHandle", snapshot)
 
     report.drivers = machine.kernel.drivers()
     return report

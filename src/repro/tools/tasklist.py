@@ -26,4 +26,5 @@ def tasklist(machine: Machine,
     while info is not None:
         rows.append((info.pid, info.name))
         info = viewer.call("kernel32", "Process32Next", snapshot)
+    viewer.call("kernel32", "CloseHandle", snapshot)
     return rows

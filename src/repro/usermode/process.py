@@ -15,7 +15,7 @@ module set (ntdll, kernel32, advapi32, user32).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.errors import ApiError
 from repro.telemetry import context as telemetry_context
@@ -43,9 +43,15 @@ class Process:
         self.machine = machine
         self.iat: Dict[Tuple[str, str], IatEntry] = {}
         self.modules: Dict[str, ModuleCode] = {}
-        self._handles: Dict[int, List] = {}
-        self._handle_positions: Dict[int, int] = {}
+        # (module, function) as called -> its CodeSite.  Sites are patched
+        # in place, so only map_module can make an entry stale.
+        self._sites: Dict[Tuple[str, str], CodeSite] = {}
+        self._handles: Dict[int, Iterator] = {}
         self._next_handle = 1
+        # Kernel32's Win32 name verdicts (name -> legal), memoised in the
+        # address space kernel32 runs in; bounded by
+        # kernel32.WIN32_NAME_MEMO.
+        self.win32_names: Dict[str, bool] = {}
         self.alive = True
 
     # -- module management -----------------------------------------------------
@@ -54,6 +60,7 @@ class Process:
         """Map a DLL image into this process (private code copy)."""
         module = ModuleCode(name, exports)
         self.modules[name.casefold()] = module
+        self._sites.clear()
         return module
 
     def module(self, name: str) -> ModuleCode:
@@ -73,15 +80,20 @@ class Process:
         Resolution order is the real one: the process's IAT entry for this
         import, else the module's in-memory code.
         """
-        entry = self.iat.get((module.casefold(), function))
-        if entry is not None:
-            audit = telemetry_context.current_audit()
-            if audit is not None:
-                audit.record(LAYER_IAT, f"{module}!{function}",
-                             kind="iat", owner=entry.owner,
-                             pid=self.pid, process=self.name)
-            return entry.target(self, *args)
-        return self.code_site(module, function).call(self, *args)
+        if self.iat:
+            entry = self.iat.get((module.casefold(), function))
+            if entry is not None:
+                audit = telemetry_context.current_audit()
+                if audit is not None:
+                    audit.record(LAYER_IAT, f"{module}!{function}",
+                                 kind="iat", owner=entry.owner,
+                                 pid=self.pid, process=self.name)
+                return entry.target(self, *args)
+        site = self._sites.get((module, function))
+        if site is None:
+            site = self._sites[(module, function)] = \
+                self.code_site(module, function)
+        return site.call(self, *args)
 
     # -- IAT manipulation ------------------------------------------------------------
 
@@ -99,24 +111,18 @@ class Process:
         """Back a FindFirstFile / Toolhelp-style enumeration."""
         handle = self._next_handle
         self._next_handle += 1
-        self._handles[handle] = list(items)
-        self._handle_positions[handle] = 0
+        self._handles[handle] = iter(list(items))
         return handle
 
     def advance_handle(self, handle: int):
         """Next item for a handle, or None when exhausted."""
-        if handle not in self._handles:
+        items = self._handles.get(handle)
+        if items is None:
             raise ApiError(f"invalid handle {handle}")
-        position = self._handle_positions[handle]
-        items = self._handles[handle]
-        if position >= len(items):
-            return None
-        self._handle_positions[handle] = position + 1
-        return items[position]
+        return next(items, None)
 
     def close_handle(self, handle: int) -> None:
         self._handles.pop(handle, None)
-        self._handle_positions.pop(handle, None)
 
     def __repr__(self) -> str:
         return f"<Process pid={self.pid} {self.name!r}>"

@@ -21,17 +21,26 @@ from repro.ntfs import naming
 from repro.winapi.hooks import ApiImpl
 
 
-def _win32_visible(directory: str, entry) -> bool:
-    if not naming.is_valid_win32_component(entry.name):
-        return False
-    return len(entry.path) <= naming.MAX_PATH
+#: Bound on a process's memo of Win32 name verdicts; a full memo is
+#: dropped whole (a machine's namespace is a few thousand names).
+WIN32_NAME_MEMO = 8192
+
+
+def _win32_visible(process, entry) -> bool:
+    verdicts = process.win32_names
+    legal = verdicts.get(entry.name)
+    if legal is None:
+        if len(verdicts) >= WIN32_NAME_MEMO:
+            verdicts.clear()
+        legal = verdicts[entry.name] = \
+            naming.is_valid_win32_component(entry.name)
+    return legal and len(entry.path) <= naming.MAX_PATH
 
 
 def find_first_file(process, directory: str) -> Tuple[int, Optional[object]]:
     """Begin a directory enumeration; returns (handle, first entry)."""
     entries = process.call("ntdll", "NtQueryDirectoryFile", directory)
-    visible = [entry for entry in entries
-               if _win32_visible(directory, entry)]
+    visible = [entry for entry in entries if _win32_visible(process, entry)]
     handle = process.open_handle(visible)
     return handle, process.advance_handle(handle)
 
@@ -110,6 +119,11 @@ def module32_next(process, snapshot: int):
     return process.advance_handle(snapshot)
 
 
+def close_handle(process, handle: int) -> None:
+    """Release a Toolhelp or module snapshot handle."""
+    process.close_handle(handle)
+
+
 EXPORTS: Dict[str, ApiImpl] = {
     "FindFirstFile": find_first_file,
     "FindNextFile": find_next_file,
@@ -124,4 +138,5 @@ EXPORTS: Dict[str, ApiImpl] = {
     "Module32Snapshot": module32_snapshot,
     "Module32First": module32_first,
     "Module32Next": module32_next,
+    "CloseHandle": close_handle,
 }

@@ -66,12 +66,15 @@ class SignatureScanner:
         def walk(directory: str) -> None:
             handle, stat = scanner.call("kernel32", "FindFirstFile",
                                         directory)
-            while stat is not None:
-                if stat.is_directory:
-                    walk(stat.path)
-                else:
-                    self._check(scanner, stat.path, hits)
-                stat = scanner.call("kernel32", "FindNextFile", handle)
+            try:
+                while stat is not None:
+                    if stat.is_directory:
+                        walk(stat.path)
+                    else:
+                        self._check(scanner, stat.path, hits)
+                    stat = scanner.call("kernel32", "FindNextFile", handle)
+            finally:
+                scanner.call("kernel32", "FindClose", handle)
 
         walk(root)
         return hits

@@ -61,6 +61,7 @@ GATE_LABELS = [
     "chaos sweep zero errors",
     "chaos sweep zero quarantines",
     "chaos sweep faults actually fired",
+    "Win32 walk identical across cold and warm caches",
     "fleet soak zero lost machines",
     "fleet soak faults fired",
     "distributed soak zero lost machines",
